@@ -3,8 +3,7 @@
 //
 // Each scale point builds a fresh calibrated testbed, has a producer write
 // a shared 16^3 "frame" dataset to the remote disks, then launches N
-// tenants in one Fleet (workers = 1, the deterministic mode). Tenant i
-// takes role i % 3:
+// tenants in one Fleet. Tenant i takes role i % 3:
 //
 //   dump   — opens its own 8^3 checkpoint dataset on the local disks and
 //            dumps one timestep (the simulation-side write path),
@@ -18,7 +17,8 @@
 // and the summed queueing delay on the shared devices. Everything in the
 // --json summary is simulated time, so the file is byte-stable and guards
 // drift (bench/baselines/BENCH_fleet.json); host wall-clock and
-// tenants/second go to stdout only.
+// tenants/second go to stdout only. The summary's "workers":1 field is kept
+// for baseline compatibility: the fleet always runs on one host thread.
 //
 //   --json FILE        machine-readable summary (see bench/run_all.sh)
 //   --max-tenants N    cap the sweep (CI smoke uses 10000)

@@ -1,13 +1,9 @@
 #include "core/fleet.h"
 
-#include <array>
-#include <condition_variable>
-#include <mutex>
 #include <queue>
 #include <utility>
 
 #include "cache/cache.h"
-#include "common/threadpool.h"
 #include "core/client.h"
 #include "obs/metrics.h"
 
@@ -186,8 +182,7 @@ struct Fleet::Actor {
   std::unique_ptr<Io> io;
 };
 
-Fleet::Fleet(StorageSystem& system, FleetOptions options)
-    : system_(system), options_(options) {}
+Fleet::Fleet(StorageSystem& system) : system_(system) {}
 
 Fleet::~Fleet() = default;
 
@@ -238,7 +233,7 @@ Completion* Fleet::submit(Client& client, Workload workload) {
       completion->status_ = std::move(verdict);
       completion->finished_at_ = completion->submitted_at_;
       completion->done_ = true;
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      ++completed_;
       obs::MetricsRegistry& metrics = system_.metrics();
       if (metrics.enabled()) metrics.counter("fleet.rejected")->increment();
       return completion;
@@ -269,7 +264,7 @@ void Fleet::finish_workload(Actor& actor, Status status) {
   completion->finished_at_ = actor.client->timeline().now();
   completion->status_ = status;
   completion->done_ = true;
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  ++completed_;
   obs::MetricsRegistry& metrics = system_.metrics();
   if (metrics.enabled()) {
     metrics.counter(status.ok() ? "fleet.completed" : "fleet.failed")
@@ -289,7 +284,8 @@ void Fleet::run_slice(Actor& actor) {
   // Every booking this slice makes — plan stages, lowering-time probes,
   // control-step session calls — schedules under the tenant's class (the
   // workload override wins over the client's session class). The scope is
-  // thread-local, so pool-mode slices classify correctly per worker.
+  // thread-local, so Fleets driven from concurrent host threads each
+  // classify their own bookings.
   const qos::TenantClass tenant_class =
       actor.current.tenant_class().has_value()
           ? *actor.current.tenant_class()
@@ -359,25 +355,6 @@ void Fleet::run_slice(Actor& actor) {
   ++actor.step;
 }
 
-Fleet::ConflictKey Fleet::next_key(const Actor& actor) const {
-  if (actor.io != nullptr) {
-    cache::ReadCache* cache = system_.cache();
-    if (cache != nullptr &&
-        actor.io->staged.access.endpoint == &cache->endpoint()) {
-      return ConflictKey::kCache;
-    }
-    // Remote disk and remote tape share the SRB server CPU (and its
-    // connection state), so they form one conflict class.
-    return actor.io->staged.access.endpoint ==
-                   &system_.endpoint(Location::kLocalDisk)
-               ? ConflictKey::kLocalDisk
-               : ConflictKey::kRemoteServer;
-  }
-  // Lowering, control steps, metadata commits: touch catalog / tracker /
-  // session state — exclusive.
-  return ConflictKey::kExclusive;
-}
-
 namespace {
 /// (virtual now, actor index): the scheduling order. Ties resolve to the
 /// lower actor index, so replays are exactly reproducible.
@@ -386,7 +363,7 @@ using MinHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 }  // namespace
 
-void Fleet::drain_serial(Actor* only) {
+void Fleet::drain(Actor* only) {
   MinHeap heap;
   if (only != nullptr) {
     if (runnable(*only)) heap.push({only->client->timeline().now(), only->index});
@@ -408,78 +385,11 @@ void Fleet::drain_serial(Actor* only) {
   }
 }
 
-void Fleet::drain_pool() {
-  ThreadPool pool(static_cast<std::size_t>(options_.workers));
-  std::mutex mutex;
-  std::condition_variable idle_cv;
-  MinHeap heap;
-  std::array<int, 4> in_flight{};  // per ConflictKey
-  int in_flight_total = 0;
-
-  for (const auto& actor : actors_) {
-    if (runnable(*actor)) {
-      heap.push({actor->client->timeline().now(), actor->index});
-    }
-  }
-
-  auto conflicted = [&](ConflictKey key) {
-    if (key == ConflictKey::kExclusive) return in_flight_total > 0;
-    return in_flight[static_cast<std::size_t>(ConflictKey::kExclusive)] > 0 ||
-           in_flight[static_cast<std::size_t>(key)] > 0;
-  };
-
-  // Dispatches from the heap top while it does not conflict with in-flight
-  // slices. Never skips a blocked top: dispatch order stays the global
-  // virtual-time order. Runs under `mutex`.
-  std::function<void()> pump = [&] {
-    while (!heap.empty()) {
-      Actor& actor = *actors_[heap.top().second];
-      if (!runnable(actor)) {
-        heap.pop();
-        continue;
-      }
-      const ConflictKey key = next_key(actor);
-      if (conflicted(key)) break;
-      heap.pop();
-      ++in_flight[static_cast<std::size_t>(key)];
-      ++in_flight_total;
-      pool.submit([this, &actor, key, &mutex, &idle_cv, &heap, &in_flight,
-                   &in_flight_total, &pump] {
-        run_slice(actor);
-        std::lock_guard<std::mutex> lock(mutex);
-        --in_flight[static_cast<std::size_t>(key)];
-        --in_flight_total;
-        if (runnable(actor)) {
-          heap.push({actor.client->timeline().now(), actor.index});
-        }
-        pump();
-        // Notify under the lock: the waiter owns the cv's storage and may
-        // destroy it the moment it observes idle, so an unlocked notify
-        // races with that destruction.
-        idle_cv.notify_all();
-      });
-    }
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    pump();
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  idle_cv.wait(lock, [&] { return in_flight_total == 0 && heap.empty(); });
-}
-
-void Fleet::run_until_idle() {
-  if (options_.workers > 1) {
-    drain_pool();
-    return;
-  }
-  drain_serial(nullptr);
-}
+void Fleet::run_until_idle() { drain(nullptr); }
 
 void Fleet::run_client(Client& client) {
   Actor* actor = actor_of(client);
-  if (actor != nullptr) drain_serial(actor);
+  if (actor != nullptr) drain(actor);
 }
 
 }  // namespace msra::core

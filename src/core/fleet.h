@@ -2,12 +2,12 @@
 //
 // PR 5's multi-tenant core binds each Client to a host thread, which caps
 // contention experiments at a few dozen tenants. A Fleet multiplexes N
-// lightweight tenant actors onto one host thread (or a small worker pool):
-// each actor owns a Client (name + session + virtual clock) and a queue of
-// submitted Workloads; the scheduler repeatedly runs one *slice* of the
-// actor whose clock reads the earliest virtual time (a min-heap of
-// (Timeline::now, actor)), so contention on the shared simkit::Resources
-// resolves in deterministic virtual-time order, not host-thread order.
+// lightweight tenant actors onto one host thread: each actor owns a Client
+// (name + session + virtual clock) and a queue of submitted Workloads; the
+// scheduler repeatedly runs one *slice* of the actor whose clock reads the
+// earliest virtual time (a min-heap of (Timeline::now, actor)), so
+// contention on the shared simkit::Resources resolves in deterministic
+// virtual-time order, not host-thread order.
 //
 //   StorageSystem system(profile);
 //   Fleet fleet(system);
@@ -28,7 +28,6 @@
 // implemented as a one-actor fleet drain, so both APIs share one code path.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -177,27 +176,15 @@ class Workload {
   std::vector<Step> steps_;
 };
 
-struct FleetOptions {
-  /// Host threads driving slices. 1 (the default) runs every slice on the
-  /// caller's thread in strict global virtual-time order — fully
-  /// deterministic, what benches and baselines use. Greater than 1 runs
-  /// non-conflicting slices concurrently on a pool: virtual-time ordering
-  /// is then enforced per dispatch decision but completion interleavings
-  /// may reorder same-resource bookings across runs (see DESIGN.md §5h),
-  /// so pool mode is for host-parallel throughput and TSan stress, not for
-  /// byte-stable baselines.
-  int workers = 1;
-};
-
 /// Thread-safety: add_client/submit/run_until_idle belong to one driver
-/// thread (the fleet's owner); with workers > 1 the fleet itself fans
-/// slices out internally. Distinct Fleets over one StorageSystem are
+/// thread (the fleet's owner), which runs every slice itself in strict
+/// global virtual-time order. Distinct Fleets over one StorageSystem are
 /// independent and may run from concurrent host threads — tenants then
 /// contend on the shared resources exactly like PR 5's thread-per-client
 /// tenants did.
 class Fleet {
  public:
-  explicit Fleet(StorageSystem& system, FleetOptions options = {});
+  explicit Fleet(StorageSystem& system);
   ~Fleet();
 
   Fleet(const Fleet&) = delete;
@@ -239,9 +226,7 @@ class Fleet {
       const flow::Campaign& campaign, const flow::CampaignOptions& options);
 
   /// Number of workloads that finished (ok or failed) so far.
-  std::uint64_t completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t completed() const { return completed_; }
 
  private:
   friend class Client;
@@ -260,23 +245,16 @@ class Fleet {
   void run_slice(Actor& actor);
   void start_next(Actor& actor);
   void finish_workload(Actor& actor, Status status);
-  void drain_serial(Actor* only);
-  void drain_pool();
-
-  /// Conflict class of an actor's next slice (pool mode): control slices
-  /// are exclusive; plan stages key on the endpoint they drive. The cache
-  /// is its own class: node-local, internally synchronized, touching no
-  /// shared simkit device.
-  enum class ConflictKey { kExclusive, kLocalDisk, kRemoteServer, kCache };
-  ConflictKey next_key(const Actor& actor) const;
+  /// Runs slices in virtual-time order until `only`'s queue (every
+  /// actor's, when null) is empty.
+  void drain(Actor* only);
 
   StorageSystem& system_;
-  FleetOptions options_;
   AdmissionHook admission_;
   std::vector<std::unique_ptr<Client>> owned_clients_;
   std::vector<std::unique_ptr<Actor>> actors_;
   std::deque<Completion> completions_;  ///< stable pointers
-  std::atomic<std::uint64_t> completed_{0};
+  std::uint64_t completed_ = 0;
 };
 
 }  // namespace msra::core

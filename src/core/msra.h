@@ -9,7 +9,7 @@
 //   Fleet          — the event-driven tenant runtime: Workload, Completion
 //                    (core/fleet.h)
 //   options        — ReadOptions / OpenOptions / ReplicateOptions /
-//                    SessionOptions / FleetOptions (core/options.h et al.)
+//                    SessionOptions (core/options.h et al.)
 //   Status         — error handling: Status / StatusOr (common/status.h)
 //
 // Subsystems below this line (runtime plans, simkit, srb, predict, obs)

@@ -265,26 +265,6 @@ std::vector<StageOutcome> StagingScheduler::execute(
   return outcomes;
 }
 
-StatusOr<std::vector<std::byte>> StagingScheduler::read_object(
-    runtime::StorageEndpoint& endpoint, simkit::Timeline& timeline,
-    const std::string& path) {
-  system_.metrics().counter("flow.fetches")->increment();
-  MSRA_RETURN_IF_ERROR(endpoint.connect(timeline));
-  auto total = endpoint.size(timeline, path);
-  if (!total.ok()) {
-    (void)endpoint.disconnect(timeline);
-    return total.status();
-  }
-  std::vector<std::byte> data(*total);
-  Status status = runtime::PlanExecutor::execute(
-      runtime::PlanBuilder::connected_object_read(path, *total), endpoint,
-      timeline, data, {}, &system_.tracer());
-  Status disc_status = endpoint.disconnect(timeline);
-  if (!status.ok()) return status;
-  if (!disc_status.ok()) return disc_status;
-  return data;
-}
-
 // ---- campaign lifecycle ---------------------------------------------------
 
 void StagingScheduler::pin_campaign(const Campaign& campaign) {

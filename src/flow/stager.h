@@ -1,13 +1,9 @@
 // flow::StagingScheduler: the system's single priced mover of bytes
 // between storage tiers.
 //
-// PR 4's MigrationEngine and the runtime Prefetcher each owned a private
-// copy loop; with campaigns adding a third (pre-staging outputs toward
-// their future consumers) the mover becomes one subsystem instead of three:
-// every replica movement in the system — promotion, demotion, eviction,
+// Every replica movement in the system — promotion, demotion, eviction,
 // rebalance, campaign prestage, staged-copy GC — is a StageTask executed
-// here, and every whole-object fetch (the prefetch path) runs through
-// read_object(). One mover means one discipline:
+// here. One mover means one discipline:
 //
 //   * priced first: each task's cost is the Predictor price of the same
 //     PlanBuilder whole-object plans the executor then runs (Eq. 2:
@@ -141,13 +137,6 @@ class StagingScheduler {
   /// max Resource::next_free() over the source and destination device
   /// paths. Prestage planning stamps this into StageTask::start_at.
   double idle_window(const StageTask& task) const;
-
-  /// Whole-object fetch on `timeline` (the prefetch read path): connect,
-  /// size, then the same connected whole-object read plan the pricer
-  /// prices, executed via PlanExecutor. Bills flow.fetches.
-  StatusOr<std::vector<std::byte>> read_object(
-      runtime::StorageEndpoint& endpoint, simkit::Timeline& timeline,
-      const std::string& path);
 
   // ---- campaign lifecycle -------------------------------------------------
 

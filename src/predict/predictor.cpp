@@ -32,7 +32,7 @@ StatusOr<FixedCosts> Predictor::loaded_fixed(core::Location location, IoOp op,
   if (load.dedicated()) return db_->fixed(location, op);
   FixedCosts base;
   bool measured = false;
-  if (load.prefer_measured && load.clients > 1.0) {
+  if (load.clients > 1.0) {
     auto contended = db_->contended_fixed(location, op, load.clients);
     if (contended.ok()) {
       base = *contended;
@@ -65,8 +65,7 @@ StatusOr<double> Predictor::loaded_rw(core::Location location, IoOp op,
   bool measured = false;
   // Contended measurements are taken through the classic (serial) transfer
   // path; a pipelined plan under load falls back to analytic inflation.
-  if (load.prefer_measured && load.clients > 1.0 &&
-      mode == TransferMode::kSerial) {
+  if (load.clients > 1.0 && mode == TransferMode::kSerial) {
     auto contended = db_->contended_rw_time(location, op, load.clients, bytes);
     if (contended.ok()) {
       t = *contended;
@@ -78,23 +77,6 @@ StatusOr<double> Predictor::loaded_rw(core::Location location, IoOp op,
     t *= load.client_inflation();
   }
   return t * load.utilization_inflation();
-}
-
-StatusOr<double> Predictor::call_time(core::Location location, IoOp op,
-                                      std::uint64_t bytes) const {
-  return call_time(location, op, bytes, TransferMode::kSerial);
-}
-
-StatusOr<double> Predictor::call_time(core::Location location, IoOp op,
-                                      std::uint64_t bytes,
-                                      TransferMode mode) const {
-  return call_time(location, op, bytes, mode, LoadAssumptions{});
-}
-
-StatusOr<double> Predictor::call_time(core::Location location, IoOp op,
-                                      std::uint64_t bytes, TransferMode mode,
-                                      const LoadAssumptions& load) const {
-  return call_time(location, op, bytes, mode, load, CacheAssumptions{});
 }
 
 StatusOr<double> Predictor::call_time(core::Location location, IoOp op,
@@ -131,13 +113,6 @@ StatusOr<double> Predictor::batched_call_time(core::Location location, IoOp op,
   // No Tseek term: a vectored call issues no seek RPCs — positioning costs
   // are what the measured per-run batch overhead captures.
   return costs.conn + costs.open + rw + extra + costs.close + costs.connclose;
-}
-
-StatusOr<DatasetPrediction> Predictor::predict_dataset(
-    const core::DatasetDesc& desc, core::Location resolved, int iterations,
-    int nprocs, IoOp op) const {
-  return predict_dataset(desc, resolved, iterations, nprocs, op,
-                         FastPathAssumptions{});
 }
 
 StatusOr<double> Predictor::price_stage(core::Location location, IoOp op,
@@ -231,17 +206,6 @@ StatusOr<double> Predictor::price_stage(core::Location location, IoOp op,
 }
 
 StatusOr<std::vector<StagePrice>> Predictor::price_stages(
-    const runtime::IoPlan& plan, core::Location location) const {
-  return price_stages(plan, location, LoadAssumptions{});
-}
-
-StatusOr<std::vector<StagePrice>> Predictor::price_stages(
-    const runtime::IoPlan& plan, core::Location location,
-    const LoadAssumptions& load) const {
-  return price_stages(plan, location, load, CacheAssumptions{});
-}
-
-StatusOr<std::vector<StagePrice>> Predictor::price_stages(
     const runtime::IoPlan& plan, core::Location location,
     const LoadAssumptions& load, const CacheAssumptions& cache) const {
   const IoOp op =
@@ -262,17 +226,6 @@ StatusOr<std::vector<StagePrice>> Predictor::price_stages(
     out.push_back(std::move(price));
   }
   return out;
-}
-
-StatusOr<double> Predictor::price(const runtime::IoPlan& plan,
-                                  core::Location location) const {
-  return price(plan, location, LoadAssumptions{});
-}
-
-StatusOr<double> Predictor::price(const runtime::IoPlan& plan,
-                                  core::Location location,
-                                  const LoadAssumptions& load) const {
-  return price(plan, location, load, CacheAssumptions{});
 }
 
 StatusOr<double> Predictor::price(const runtime::IoPlan& plan,
@@ -297,21 +250,6 @@ StatusOr<double> Predictor::price_serial(
     total += seconds;
   }
   return total;
-}
-
-StatusOr<DatasetPrediction> Predictor::predict_dataset(
-    const core::DatasetDesc& desc, core::Location resolved, int iterations,
-    int nprocs, IoOp op, const FastPathAssumptions& fast) const {
-  return predict_dataset(desc, resolved, iterations, nprocs, op, fast,
-                         LoadAssumptions{});
-}
-
-StatusOr<DatasetPrediction> Predictor::predict_dataset(
-    const core::DatasetDesc& desc, core::Location resolved, int iterations,
-    int nprocs, IoOp op, const FastPathAssumptions& fast,
-    const LoadAssumptions& load) const {
-  return predict_dataset(desc, resolved, iterations, nprocs, op, fast, load,
-                         CacheAssumptions{});
 }
 
 StatusOr<DatasetPrediction> Predictor::predict_dataset(
@@ -369,19 +307,6 @@ StatusOr<DatasetPrediction> Predictor::predict_dataset(
                   static_cast<double>(out.calls_per_dump) * out.call_time +
               out.connection_time;
   return out;
-}
-
-StatusOr<RunPrediction> Predictor::predict_run(
-    const std::vector<std::pair<core::DatasetDesc, core::Location>>& datasets,
-    int iterations, int nprocs, IoOp op) const {
-  return predict_run(datasets, iterations, nprocs, op, LoadAssumptions{});
-}
-
-StatusOr<RunPrediction> Predictor::predict_run(
-    const std::vector<std::pair<core::DatasetDesc, core::Location>>& datasets,
-    int iterations, int nprocs, IoOp op, const LoadAssumptions& load) const {
-  return predict_run(datasets, iterations, nprocs, op, load,
-                     CacheAssumptions{});
 }
 
 StatusOr<RunPrediction> Predictor::predict_run(

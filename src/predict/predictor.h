@@ -58,9 +58,6 @@ struct LoadAssumptions {
   /// the classic open-queueing inflation 1/(1 - u) on top of the
   /// client-level times.
   double utilization = 0.0;
-  /// Prefer PTool's measured contended curves; the analytic inflation
-  /// below is then only a fallback for unmeasured resources.
-  bool prefer_measured = true;
 
   bool dedicated() const { return clients <= 1.0 && utilization <= 0.0; }
 
@@ -115,26 +112,19 @@ class Predictor {
  public:
   explicit Predictor(const PerfDb* db) : db_(db) {}
 
-  /// Equation (1): one native call of `bytes` on `location`. The
-  /// TransferMode overload prices the rw term off the requested curve,
-  /// falling back to the serial curve when no pipelined measurements exist
-  /// for the location.
+  /// Equation (1): one native call of `bytes` on `location`. `mode` prices
+  /// the rw term off the requested curve, falling back to the serial curve
+  /// when no pipelined measurements exist for the location. Under `load`,
+  /// the rw and fixed terms come from the measured contended curves at
+  /// `load.clients` (analytic inflation when unmeasured), then scale by the
+  /// background-utilization factor. Behind `cache`, read-direction terms
+  /// blend with the measured cache tier at `cache.hit_ratio` (see
+  /// CacheAssumptions). The defaults price the dedicated, cache-less call.
   StatusOr<double> call_time(core::Location location, IoOp op,
-                             std::uint64_t bytes) const;
-  StatusOr<double> call_time(core::Location location, IoOp op,
-                             std::uint64_t bytes, TransferMode mode) const;
-  /// Load-aware Eq. (1): the rw and fixed terms come from the measured
-  /// contended curves at `load.clients` (analytic inflation when
-  /// unmeasured), then scale by the background-utilization factor.
-  StatusOr<double> call_time(core::Location location, IoOp op,
-                             std::uint64_t bytes, TransferMode mode,
-                             const LoadAssumptions& load) const;
-  /// Cache-aware Eq. (1): read-direction terms blend with the measured
-  /// cache tier at `cache.hit_ratio` (see CacheAssumptions).
-  StatusOr<double> call_time(core::Location location, IoOp op,
-                             std::uint64_t bytes, TransferMode mode,
-                             const LoadAssumptions& load,
-                             const CacheAssumptions& cache) const;
+                             std::uint64_t bytes,
+                             TransferMode mode = TransferMode::kSerial,
+                             const LoadAssumptions& load = {},
+                             const CacheAssumptions& cache = {}) const;
 
   /// Cost of one vectored call carrying `runs` runs of `total_bytes`
   /// altogether: the Eq. (1) fixed terms once (minus Tseek — a vectored
@@ -150,30 +140,19 @@ class Predictor {
   /// overhead, pipelined plans the pipelined rw curve), each stage
   /// multiplied by its repeat count. Exchange and in-memory copy steps are
   /// free. This walks the SAME IoPlan the PlanExecutor runs — Eq. (2) is
-  /// "sum of priced plans".
-  StatusOr<double> price(const runtime::IoPlan& plan,
-                         core::Location location) const;
-  /// Load-aware plan pricing: every Eq. (1) term is looked up / inflated
-  /// under `load`. The default LoadAssumptions prices identically to the
-  /// dedicated overload.
+  /// "sum of priced plans". Every Eq. (1) term is looked up / inflated
+  /// under `load`, and read-direction stages blend at `cache.hit_ratio`;
+  /// the defaults price the dedicated, cache-less plan.
   StatusOr<double> price(const runtime::IoPlan& plan, core::Location location,
-                         const LoadAssumptions& load) const;
-  /// Cache-aware plan pricing (read-direction stages blend at the hit
-  /// ratio; CacheAssumptions{} prices identically to the overload above).
-  StatusOr<double> price(const runtime::IoPlan& plan, core::Location location,
-                         const LoadAssumptions& load,
-                         const CacheAssumptions& cache) const;
+                         const LoadAssumptions& load = {},
+                         const CacheAssumptions& cache = {}) const;
 
   /// Per-stage breakdown of the same walk (seconds are per single
   /// execution; multiply by `repeat` for the stage's share).
-  StatusOr<std::vector<StagePrice>> price_stages(const runtime::IoPlan& plan,
-                                                 core::Location location) const;
   StatusOr<std::vector<StagePrice>> price_stages(
       const runtime::IoPlan& plan, core::Location location,
-      const LoadAssumptions& load) const;
-  StatusOr<std::vector<StagePrice>> price_stages(
-      const runtime::IoPlan& plan, core::Location location,
-      const LoadAssumptions& load, const CacheAssumptions& cache) const;
+      const LoadAssumptions& load = {},
+      const CacheAssumptions& cache = {}) const;
 
   /// DAG pricing entry point: extends Eq. (2) from one dataset to a placed
   /// sequence — the summed price of every plan at its placement, i.e. one
@@ -183,45 +162,22 @@ class Predictor {
   StatusOr<double> price_serial(const std::vector<PlacedPlan>& plans) const;
 
   /// Per-dataset prediction for an `iterations`-long run on `nprocs` ranks.
-  /// `op` selects the producer (write) or consumer (read) direction.
-  StatusOr<DatasetPrediction> predict_dataset(const core::DatasetDesc& desc,
-                                              core::Location resolved,
-                                              int iterations, int nprocs,
-                                              IoOp op) const;
-
-  /// Same, under explicit fast-path assumptions (the default-constructed
-  /// assumptions reproduce the classic prediction exactly).
+  /// `op` selects the producer (write) or consumer (read) direction. The
+  /// default-constructed assumptions (classic call shapes, dedicated
+  /// resources, no cache) reproduce the classic prediction exactly.
   StatusOr<DatasetPrediction> predict_dataset(
       const core::DatasetDesc& desc, core::Location resolved, int iterations,
-      int nprocs, IoOp op, const FastPathAssumptions& fast) const;
+      int nprocs, IoOp op, const FastPathAssumptions& fast = {},
+      const LoadAssumptions& load = {},
+      const CacheAssumptions& cache = {}) const;
 
-  /// Same, additionally under a shared-resource load.
-  StatusOr<DatasetPrediction> predict_dataset(
-      const core::DatasetDesc& desc, core::Location resolved, int iterations,
-      int nprocs, IoOp op, const FastPathAssumptions& fast,
-      const LoadAssumptions& load) const;
-
-  /// Same, additionally behind a read cache at `cache.hit_ratio`.
-  StatusOr<DatasetPrediction> predict_dataset(
-      const core::DatasetDesc& desc, core::Location resolved, int iterations,
-      int nprocs, IoOp op, const FastPathAssumptions& fast,
-      const LoadAssumptions& load, const CacheAssumptions& cache) const;
-
-  /// Equation (2) over a set of datasets (write direction: the producer run).
+  /// Equation (2) over a set of datasets (by default the write direction:
+  /// the producer run).
   StatusOr<RunPrediction> predict_run(
       const std::vector<std::pair<core::DatasetDesc, core::Location>>& datasets,
-      int iterations, int nprocs, IoOp op = IoOp::kWrite) const;
-
-  /// Load-aware Equation (2).
-  StatusOr<RunPrediction> predict_run(
-      const std::vector<std::pair<core::DatasetDesc, core::Location>>& datasets,
-      int iterations, int nprocs, IoOp op, const LoadAssumptions& load) const;
-
-  /// Cache-aware Equation (2).
-  StatusOr<RunPrediction> predict_run(
-      const std::vector<std::pair<core::DatasetDesc, core::Location>>& datasets,
-      int iterations, int nprocs, IoOp op, const LoadAssumptions& load,
-      const CacheAssumptions& cache) const;
+      int iterations, int nprocs, IoOp op = IoOp::kWrite,
+      const LoadAssumptions& load = {},
+      const CacheAssumptions& cache = {}) const;
 
  private:
   /// Eq. (1) fixed terms under `load`: measured contended table when

@@ -10,6 +10,8 @@ namespace msra::prt {
 World::World(int nprocs) : nprocs_(nprocs) {
   assert(nprocs >= 1);
   shared_.slots.resize(static_cast<std::size_t>(nprocs));
+  shared_.turn_clock.resize(static_cast<std::size_t>(nprocs));
+  shared_.turn_active.resize(static_cast<std::size_t>(nprocs));
   timelines_.reserve(static_cast<std::size_t>(nprocs));
   for (int i = 0; i < nprocs; ++i) {
     timelines_.push_back(std::make_unique<simkit::Timeline>());
@@ -204,6 +206,42 @@ std::vector<std::byte> Comm::recv(int src, int tag) {
 void Comm::sync_time() {
   const double latest = allreduce_max(timeline().now());
   timeline().advance_to(latest);
+}
+
+void Comm::in_time_order(const std::function<bool()>& step) {
+  World::Shared& s = world_->shared_;
+  const auto me = static_cast<std::size_t>(rank_);
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.turn_clock[me] = timeline().now();
+    s.turn_active[me] = true;
+  }
+  barrier();  // every rank's clock is posted before anyone steps
+  const auto my_turn = [&] {
+    for (std::size_t r = 0; r < s.turn_active.size(); ++r) {
+      if (r == me || !s.turn_active[r]) continue;
+      if (s.turn_clock[r] < s.turn_clock[me] ||
+          (s.turn_clock[r] == s.turn_clock[me] && r < me)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  bool more = true;
+  while (more) {
+    {
+      std::unique_lock<std::mutex> lock(s.mutex);
+      s.cv.wait(lock, my_turn);
+    }
+    more = step();
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      s.turn_clock[me] = timeline().now();
+      s.turn_active[me] = more;
+    }
+    s.cv.notify_all();
+  }
+  barrier();  // no rank re-enters the turnstile while another still steps
 }
 
 }  // namespace msra::prt

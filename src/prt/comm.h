@@ -57,6 +57,9 @@ class World {
     std::uint64_t reduce_u64 = 0;
     // Point-to-point mailboxes keyed by (src, dst, tag).
     std::map<std::tuple<int, int, int>, std::deque<std::vector<std::byte>>> mailboxes;
+    // in_time_order turnstile: each rank's clock and whether it still steps.
+    std::vector<simkit::SimTime> turn_clock;
+    std::vector<bool> turn_active;
   };
 
   int nprocs_;
@@ -105,6 +108,15 @@ class Comm {
   /// Joins simulated clocks: every rank's timeline advances to the global
   /// maximum (the virtual-time analogue of a synchronizing collective).
   void sync_time();
+
+  /// Collective. Calls `step` until it returns false, interleaving every
+  /// rank's steps in virtual-time order: a rank steps only while its clock
+  /// is the earliest among the ranks still stepping (ties go to the lower
+  /// rank). Ranks that book shared devices inside `step` therefore book
+  /// them in an order fixed by their clocks, not by the host scheduler, and
+  /// every run yields the same virtual times. A rank with nothing to do
+  /// passes a step that returns false. `step` must not call into Comm.
+  void in_time_order(const std::function<bool()>& step);
 
  private:
   friend class World;

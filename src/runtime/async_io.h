@@ -4,8 +4,6 @@
 // (slow remote) I/O overlap. In virtual time this means: submitting a write
 // costs the caller only a memory copy; the storage work accrues on the
 // engine's own timeline; flush() joins the caller's clock with the engine's.
-// The read-ahead half lives in flow/prefetcher.h: prefetching is a client
-// of the unified staging scheduler, not a private copy loop.
 #pragma once
 
 #include <mutex>

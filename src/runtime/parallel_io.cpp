@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "runtime/plan.h"
@@ -95,6 +96,26 @@ Status join_statuses(prt::Comm& comm, const Status& mine) {
     return Status::Internal("peer rank failed during parallel I/O");
   }
   return mine;
+}
+
+/// Collective. Runs this rank's `plan` (null: the rank has no I/O and only
+/// takes part) with every rank's stages interleaved in virtual-time order
+/// (Comm::in_time_order). Ranks that reach the same shared devices thus
+/// book them in the same order on every run, whatever order the host
+/// threads happen to run in.
+Status execute_in_time_order(const IoPlan* plan, StorageEndpoint& endpoint,
+                             prt::Comm& comm, std::span<std::byte> out,
+                             std::span<const std::byte> in) {
+  if (plan == nullptr) {
+    comm.in_time_order([] { return false; });
+    return Status::Ok();
+  }
+  PlanCursor cursor(*plan, endpoint, comm.timeline(), out, in);
+  comm.in_time_order([&] {
+    if (!cursor.done()) (void)cursor.step();
+    return !cursor.done();
+  });
+  return cursor.status();
 }
 
 Status check_local_size(const ArrayLayout& layout, int rank, std::size_t got) {
@@ -215,9 +236,11 @@ Status write_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
   }
 
   // Phase 2: aggregators assemble and write their contiguous range.
+  std::optional<IoPlan> plan;  // set on aggregators whose shuffle arrived
+  std::vector<std::byte> buffer;
   if (comm.rank() < aggregators) {
     const auto& range = ranges[static_cast<std::size_t>(comm.rank())].elems;
-    std::vector<std::byte> buffer(range.size() * elem);
+    buffer.resize(range.size() * elem);
     for (int r = 0; r < comm.size() && status.ok(); ++r) {
       auto message = comm.recv(r, kShuffleTag);
       net::WireReader reader(message);
@@ -244,16 +267,19 @@ Status write_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
     record_phase(endpoint, "collective.write.exchange_time",
                  comm.timeline().now() - exchange_start);
     if (status.ok()) {
-      const simkit::SimTime io_start = comm.timeline().now();
-      const IoPlan plan =
-          PlanBuilder::range_io(path, range.lo * elem, buffer.size(),
-                                PlanDir::kWrite, OpenMode::kUpdate);
-      status = PlanExecutor::execute(plan, endpoint, comm.timeline(), {}, buffer);
-      record_phase(endpoint, "collective.write.io_time",
-                   comm.timeline().now() - io_start);
+      plan = PlanBuilder::range_io(path, range.lo * elem, buffer.size(),
+                                   PlanDir::kWrite, OpenMode::kUpdate);
     }
-  } else {
-    // Non-aggregators still drain nothing; their sends were buffered.
+  }
+  // Non-aggregators drain nothing (their sends were buffered) and only take
+  // part in the ordered write.
+  const simkit::SimTime io_start = comm.timeline().now();
+  const Status io = execute_in_time_order(plan ? &*plan : nullptr, endpoint,
+                                          comm, {}, buffer);
+  if (plan) {
+    status = io;
+    record_phase(endpoint, "collective.write.io_time",
+                 comm.timeline().now() - io_start);
   }
   status = join_statuses(comm, status);
   comm.sync_time();
@@ -269,14 +295,19 @@ Status read_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
 
   // Phase 1: aggregators read their contiguous range and deliver each
   // rank's pieces.
+  std::optional<IoPlan> plan;  // set on aggregators
+  std::vector<std::byte> buffer;
   if (comm.rank() < aggregators) {
     const auto& range = ranges[static_cast<std::size_t>(comm.rank())].elems;
-    std::vector<std::byte> buffer(range.size() * elem);
-    const simkit::SimTime io_start = comm.timeline().now();
-    const IoPlan plan =
-        PlanBuilder::range_io(path, range.lo * elem, buffer.size(),
-                              PlanDir::kRead, OpenMode::kRead);
-    status = PlanExecutor::execute(plan, endpoint, comm.timeline(), buffer, {});
+    buffer.resize(range.size() * elem);
+    plan = PlanBuilder::range_io(path, range.lo * elem, buffer.size(),
+                                 PlanDir::kRead, OpenMode::kRead);
+  }
+  const simkit::SimTime io_start = comm.timeline().now();
+  status = execute_in_time_order(plan ? &*plan : nullptr, endpoint, comm,
+                                 buffer, {});
+  if (plan) {
+    const auto& range = ranges[static_cast<std::size_t>(comm.rank())].elems;
     record_phase(endpoint, "collective.read.io_time",
                  comm.timeline().now() - io_start);
     const simkit::SimTime exchange_start = comm.timeline().now();
@@ -362,7 +393,7 @@ Status write_naive(StorageEndpoint& endpoint, prt::Comm& comm,
       PlanBuilder::rank_runs(layout, comm.rank(), path, PlanDir::kWrite,
                              OpenMode::kUpdate,
                              endpoint.fast_path().vectored_rpc);
-  status = PlanExecutor::execute(plan, endpoint, comm.timeline(), {}, local);
+  status = execute_in_time_order(&plan, endpoint, comm, {}, local);
   status = join_statuses(comm, status);
   comm.sync_time();
   return status;
@@ -423,7 +454,7 @@ Status read_naive(StorageEndpoint& endpoint, prt::Comm& comm,
       PlanBuilder::rank_runs(layout, comm.rank(), path, PlanDir::kRead,
                              OpenMode::kRead,
                              endpoint.fast_path().vectored_rpc);
-  Status status = PlanExecutor::execute(plan, endpoint, comm.timeline(), local, {});
+  Status status = execute_in_time_order(&plan, endpoint, comm, local, {});
   status = join_statuses(comm, status);
   comm.sync_time();
   return status;

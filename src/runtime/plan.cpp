@@ -600,7 +600,8 @@ PlanCursor::PlanCursor(const IoPlan& plan, StorageEndpoint& endpoint,
 Status PlanCursor::step() {
   if (done()) return result_;
   // Every device booking this stage makes carries the cursor's tag (the
-  // scope is thread-local, so pool-mode workers classify correctly too).
+  // scope is thread-local, so cursors on concurrent host threads each
+  // classify their own bookings).
   std::optional<simkit::QosScope> qos_scope;
   if (qos_.has_value()) qos_scope.emplace(*qos_);
   const PlanStage& s = plan_->stages[stage_++];

@@ -259,7 +259,7 @@ class PlanCursor {
 
   /// Books every remaining stage under `tag`: step() enters a QosScope
   /// around the stage, so the device layer sees the tenant's class even
-  /// when the cursor is driven from a pool worker thread. The tag a fleet
+  /// when the cursor is driven from another host thread. The tag a fleet
   /// actor resolved at lowering time rides the cursor — the propagation
   /// path from TenantClass down to Resource::acquire.
   void set_qos(const simkit::QosTag& tag) { qos_ = tag; }

@@ -1,5 +1,4 @@
-// Bounded prefetch cache (LRU, now flow::Prefetcher over the unified
-// mover) and AsyncWriter error paths.
+// AsyncWriter error paths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,8 +6,6 @@
 
 #include "core/profiles.h"
 #include "core/system.h"
-#include "flow/prefetcher.h"
-#include "flow/stager.h"
 #include "runtime/async_io.h"
 #include "runtime/endpoint.h"
 
@@ -26,111 +23,6 @@ std::vector<std::byte> bytes_of(std::size_t n, int seed) {
     out[i] = static_cast<std::byte>((i * 7 + static_cast<std::size_t>(seed)) & 0xff);
   }
   return out;
-}
-
-void store(StorageEndpoint& endpoint, const std::string& path,
-           std::span<const std::byte> data) {
-  Timeline tl;
-  auto session = FileSession::start(endpoint, tl, path, OpenMode::kOverwrite);
-  ASSERT_TRUE(session.ok()) << session.status().to_string();
-  ASSERT_TRUE(session->write(data).ok());
-  ASSERT_TRUE(session->finish().ok());
-}
-
-// ----------------------------------------------------- bounded prefetch ---
-
-TEST(PrefetcherLruTest, EvictsLeastRecentlyUsedCompletedEntry) {
-  StorageSystem system(HardwareProfile::test_profile());
-  StorageEndpoint& ep = system.endpoint(Location::kRemoteDisk);
-  const auto a = bytes_of(5000, 1);
-  const auto b = bytes_of(5000, 2);
-  const auto c = bytes_of(5000, 3);
-  store(ep, "lru/a", a);
-  store(ep, "lru/b", b);
-  store(ep, "lru/c", c);
-
-  flow::StagingScheduler stager(system, nullptr);
-  flow::Prefetcher prefetcher(stager, ep, 400.0e6, /*capacity=*/2);
-  Timeline caller;
-  prefetcher.prefetch(caller, "lru/a");
-  prefetcher.prefetch(caller, "lru/b");
-  caller.advance(30.0);  // both prefetches complete under this compute
-  // Recency after these fetches: a (most recent), then b.
-  ASSERT_TRUE(prefetcher.fetch(caller, "lru/b").ok());
-  ASSERT_TRUE(prefetcher.fetch(caller, "lru/a").ok());
-  EXPECT_EQ(prefetcher.evictions(), 0u);
-
-  // A third object must push out b — the least recently used — not a.
-  prefetcher.prefetch(caller, "lru/c");
-  EXPECT_EQ(prefetcher.evictions(), 1u);
-  EXPECT_EQ(prefetcher.cached_count(), 2u);
-  caller.advance(30.0);
-  auto got_c = prefetcher.fetch(caller, "lru/c");
-  ASSERT_TRUE(got_c.ok());
-  EXPECT_EQ(*got_c, c);
-
-  // a survived: a fetch costs only the copy. b was evicted: its fetch is a
-  // full synchronous remote read (connect + open + transfer + close).
-  double t0 = caller.now();
-  auto got_a = prefetcher.fetch(caller, "lru/a");
-  ASSERT_TRUE(got_a.ok());
-  EXPECT_EQ(*got_a, a);
-  const double cost_a = caller.now() - t0;
-  EXPECT_LT(cost_a, 0.05);
-
-  t0 = caller.now();
-  auto got_b = prefetcher.fetch(caller, "lru/b");
-  ASSERT_TRUE(got_b.ok());
-  EXPECT_EQ(*got_b, b) << "an evicted object must re-read correctly";
-  const double cost_b = caller.now() - t0;
-  EXPECT_GT(cost_b, 0.2) << "evicted entry should pay the synchronous read";
-}
-
-TEST(PrefetcherLruTest, CacheStaysBoundedUnderManyPrefetches) {
-  StorageSystem system(HardwareProfile::test_profile());
-  StorageEndpoint& ep = system.endpoint(Location::kRemoteDisk);
-  constexpr int kObjects = 10;
-  for (int i = 0; i < kObjects; ++i) {
-    store(ep, "many/" + std::to_string(i), bytes_of(2000, i));
-  }
-  flow::StagingScheduler stager(system, nullptr);
-  flow::Prefetcher prefetcher(stager, ep, 400.0e6, /*capacity=*/3);
-  Timeline caller;
-  for (int i = 0; i < kObjects; ++i) {
-    prefetcher.prefetch(caller, "many/" + std::to_string(i));
-    caller.advance(5.0);
-  }
-  // Every object still reads back correctly, cached or not.
-  for (int i = 0; i < kObjects; ++i) {
-    auto got = prefetcher.fetch(caller, "many/" + std::to_string(i));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, bytes_of(2000, i));
-  }
-  EXPECT_LE(prefetcher.cached_count(), 3u);
-  EXPECT_GE(prefetcher.evictions(), static_cast<std::uint64_t>(kObjects - 3));
-}
-
-TEST(PrefetcherLruTest, InFlightEntriesAreNeverEvicted) {
-  StorageSystem system(HardwareProfile::test_profile());
-  StorageEndpoint& ep = system.endpoint(Location::kRemoteDisk);
-  for (int i = 0; i < 4; ++i) {
-    store(ep, "flight/" + std::to_string(i), bytes_of(1000, i));
-  }
-  // Capacity 1 with four prefetches issued back-to-back: entries may pile up
-  // while in flight, but each one completes, lands, and reads back intact.
-  flow::StagingScheduler stager(system, nullptr);
-  flow::Prefetcher prefetcher(stager, ep, 400.0e6, /*capacity=*/1);
-  Timeline caller;
-  for (int i = 0; i < 4; ++i) {
-    prefetcher.prefetch(caller, "flight/" + std::to_string(i));
-  }
-  caller.advance(60.0);
-  for (int i = 0; i < 4; ++i) {
-    auto got = prefetcher.fetch(caller, "flight/" + std::to_string(i));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, bytes_of(1000, i));
-  }
-  EXPECT_LE(prefetcher.cached_count(), 1u);
 }
 
 // ------------------------------------------------- writer error paths -----

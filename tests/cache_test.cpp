@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,12 +408,17 @@ TEST(CacheConcurrencyTest, ReadersInvalidatorAndPressureEviction) {
       }
     });
   }
-  threads.emplace_back([&cache] {
+  // The inserter holds off until the first invalidation is in; otherwise
+  // it can evict every obj* entry before the invalidator gets to run.
+  std::latch first_invalidation(1);
+  threads.emplace_back([&cache, &first_invalidation] {
     for (int i = 0; i < 100; ++i) {
       cache.invalidate("obj" + std::to_string(i % kObjects));
+      if (i == 0) first_invalidation.count_down();
     }
   });
-  threads.emplace_back([&cache, &payload] {
+  threads.emplace_back([&cache, &payload, &first_invalidation] {
+    first_invalidation.wait();
     for (int i = 0; i < 100; ++i) {
       (void)cache.insert_probe("new" + std::to_string(i), "app/new", payload);
     }
@@ -439,7 +445,7 @@ struct CachedFleetRun {
 };
 
 /// `tenants` clients each re-read the same shared frame twice through one
-/// shared cache (workers = 1: strict virtual-time order).
+/// shared cache (one fleet: strict virtual-time order).
 CachedFleetRun run_cached_fleet(int tenants) {
   StorageSystem system(HardwareProfile::test_profile());
   predict::PerfDb db(&system.metadb());
@@ -463,7 +469,7 @@ CachedFleetRun run_cached_fleet(int tenants) {
   cache_config.memory_bytes = 4ull << 20;
   system.enable_cache(cache_config, &predictor);
 
-  Fleet fleet(system, {.workers = 1});
+  Fleet fleet(system);
   std::vector<Completion*> completions;
   for (int i = 0; i < tenants; ++i) {
     Client& client = fleet.add_client("tenant" + std::to_string(i));

@@ -3,10 +3,7 @@
 //
 // The determinism tests run the same tenant mix against two fresh systems
 // and require bit-identical per-tenant virtual times — that property is
-// what makes BENCH_fleet.json a byte-stable drift guard. The pool-mode
-// test only checks completion (workers > 1 trades cross-run determinism
-// for host parallelism; see DESIGN.md §5h) and doubles as the TSan stress
-// for the scheduler's internal locking.
+// what makes BENCH_fleet.json a byte-stable drift guard.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -105,7 +102,7 @@ struct FleetRun {
 
 /// The bench's tenant mix at small scale: role i % 3 cycles a local-disk
 /// checkpoint dump, a whole-frame read, and a one-plane read.
-FleetRun run_mixed_fleet(int tenants, int workers) {
+FleetRun run_mixed_fleet(int tenants) {
   StorageSystem system(HardwareProfile::paper_2000());
   Fleet setup(system);
   Client& producer = setup.add_client("producer");
@@ -118,7 +115,7 @@ FleetRun run_mixed_fleet(int tenants, int workers) {
   EXPECT_TRUE(wrote->status().ok());
   system.reset_time();
 
-  Fleet fleet(system, {.workers = workers});
+  Fleet fleet(system);
   std::vector<Completion*> completions;
   for (int i = 0; i < tenants; ++i) {
     Client& client = fleet.add_client("tenant" + std::to_string(i));
@@ -152,11 +149,11 @@ FleetRun run_mixed_fleet(int tenants, int workers) {
 }
 
 // Two fresh systems, same tenant mix: every per-tenant virtual time must
-// be bit-identical (workers = 1 runs slices in strict global virtual-time
+// be bit-identical (the fleet runs slices in strict global virtual-time
 // order with deterministic tie-breaks).
 TEST(FleetTest, RerunIsDeterministic) {
-  const FleetRun first = run_mixed_fleet(30, /*workers=*/1);
-  const FleetRun second = run_mixed_fleet(30, /*workers=*/1);
+  const FleetRun first = run_mixed_fleet(30);
+  const FleetRun second = run_mixed_fleet(30);
   ASSERT_EQ(first.statuses.size(), second.statuses.size());
   for (std::size_t i = 0; i < first.statuses.size(); ++i) {
     EXPECT_TRUE(first.statuses[i].ok()) << first.statuses[i].to_string();
@@ -207,22 +204,12 @@ TEST(FleetTest, MatchesSynchronousClientPath) {
 // 1000 actors through one scheduler thread: everything completes, virtual
 // completion order is well-formed, and the count matches.
 TEST(FleetTest, ThousandActorSmoke) {
-  const FleetRun run = run_mixed_fleet(1000, /*workers=*/1);
+  const FleetRun run = run_mixed_fleet(1000);
   ASSERT_EQ(run.statuses.size(), 1000u);
   for (std::size_t i = 0; i < run.statuses.size(); ++i) {
     EXPECT_TRUE(run.statuses[i].ok()) << "tenant " << i << ": "
                                       << run.statuses[i].to_string();
     EXPECT_GE(run.latency[i], 0.0);
-  }
-}
-
-// Pool mode (workers = 4): same workloads all complete ok. No cross-run
-// determinism claim here — this is the TSan stress for the dispatch path.
-TEST(FleetTest, WorkerPoolCompletesEverything) {
-  const FleetRun run = run_mixed_fleet(60, /*workers=*/4);
-  ASSERT_EQ(run.statuses.size(), 60u);
-  for (const Status& status : run.statuses) {
-    EXPECT_TRUE(status.ok()) << status.to_string();
   }
 }
 

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "prt/array.h"
 #include "prt/comm.h"
@@ -267,6 +269,29 @@ TEST(CommTest, SyncTimeJoinsClocks) {
     comm.sync_time();
     EXPECT_DOUBLE_EQ(comm.timeline().now(), 20.0);
   });
+}
+
+// One rank steps at a time, earliest clock first and the lower rank on a
+// tie, so the interleaving is the same whatever order the threads run in.
+TEST(CommTest, InTimeOrderStepsEarliestClockFirst) {
+  World world(3);
+  std::vector<std::pair<int, double>> steps;  // (rank, clock before step)
+  world.run([&](Comm& comm) {
+    // Rank r takes three steps of r + 1 virtual seconds; rank 2 has none.
+    int left = comm.rank() == 2 ? 0 : 3;
+    comm.in_time_order([&] {
+      if (left == 0) return false;
+      steps.emplace_back(comm.rank(), comm.timeline().now());
+      comm.timeline().advance(comm.rank() + 1.0);
+      return --left > 0;
+    });
+  });
+  const std::vector<std::pair<int, double>> want = {
+      {0, 0.0}, {1, 0.0}, {0, 1.0}, {0, 2.0}, {1, 2.0}, {1, 4.0}};
+  EXPECT_EQ(steps, want);
+  EXPECT_DOUBLE_EQ(world.timeline(0).now(), 3.0);
+  EXPECT_DOUBLE_EQ(world.timeline(1).now(), 6.0);
+  EXPECT_DOUBLE_EQ(world.timeline(2).now(), 0.0);
 }
 
 TEST(CommTest, ConsecutiveCollectivesDoNotInterfere) {

@@ -9,11 +9,12 @@
 // discipline tests pin the fluid models' arithmetic, including the
 // regression where a grant booked late in dispatch order but with an
 // early ready time must join the trajectory at its ready time instead of
-// being charged the whole fluid-clock offset. The pool-mode test is
-// written for the TSan CI job.
+// being charged the whole fluid-clock offset. The concurrent-fleets test
+// is written for the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/client.h"
@@ -34,7 +35,6 @@ using core::Completion;
 using core::DatasetDesc;
 using core::ElementType;
 using core::Fleet;
-using core::FleetOptions;
 using core::HardwareProfile;
 using core::Location;
 using core::SessionOptions;
@@ -391,12 +391,13 @@ TEST_F(AdmissionTest, GateFailsSubmitsFastAndRecordsTheDecision) {
   EXPECT_GE(system_.metrics().counter("qos.admission.rejected")->value(), 1u);
 }
 
-// ---------------------------------------------------- pool-mode (TSan) --
+// ------------------------------------------------ concurrent fleets (TSan) --
 
-// Classed tenants under pool-mode workers exercise the thread-local tag
-// scope and the discipline's locking from several threads at once. Pool
-// mode trades determinism for parallelism, so this only asserts
-// completion — it is the TSan job's stress for the QoS path.
+// Three host threads each drive their own Fleet of classed tenants over
+// one WFQ system, so the thread-local tag scope and the discipline's
+// locking run from several threads at once. Host-thread interleaving
+// decides the booking order, so this only asserts completion — it is the
+// TSan job's stress for the QoS path.
 TEST(FleetQosTest, ConcurrentClassedTenantsComplete) {
   StorageSystem system(HardwareProfile::paper_2000());
   seed_dataset(system, "shared");
@@ -405,23 +406,40 @@ TEST(FleetQosTest, ConcurrentClassedTenantsComplete) {
   config.discipline = DisciplineKind::kWfq;
   ASSERT_TRUE(system.enable_qos(config).ok());
 
-  FleetOptions options;
-  options.workers = 4;
-  Fleet fleet(system, options);
-  std::vector<Completion*> done;
+  constexpr std::size_t kFleets = 3;
+  constexpr std::size_t kTenantsPerFleet = 4;
   const TenantClass classes[] = {TenantClass::kInteractive,
                                  TenantClass::kBatch,
                                  TenantClass::kBackground};
-  for (int i = 0; i < 12; ++i) {
-    const TenantClass cls = classes[i % 3];
-    Client& client = fleet.add_client(
-        "t" + std::to_string(i),
-        SessionOptions{.application = "qos", .tenant_class = cls});
-    done.push_back(client.submit(classed_read("shared", cls)));
+  // Completions belong to their Fleet, so each thread copies its statuses
+  // out before its Fleet goes away.
+  std::vector<std::vector<Status>> statuses(kFleets);
+  std::vector<std::thread> threads;
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    threads.emplace_back([&, f] {
+      Fleet fleet(system);
+      std::vector<Completion*> done;
+      for (std::size_t i = 0; i < kTenantsPerFleet; ++i) {
+        const std::size_t tenant = f * kTenantsPerFleet + i;
+        const TenantClass cls = classes[tenant % 3];
+        Client& client = fleet.add_client(
+            std::string("t").append(std::to_string(tenant)),
+            SessionOptions{.application = "qos", .tenant_class = cls});
+        done.push_back(client.submit(classed_read("shared", cls)));
+      }
+      fleet.run_until_idle();
+      for (const Completion* completion : done) {
+        statuses[f].push_back(completion->status());
+      }
+    });
   }
-  fleet.run_until_idle();
-  for (Completion* completion : done) {
-    EXPECT_TRUE(completion->status().ok());
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::vector<Status>& fleet_statuses : statuses) {
+    ASSERT_EQ(fleet_statuses.size(), kTenantsPerFleet);
+    for (const Status& status : fleet_statuses) {
+      EXPECT_TRUE(status.ok()) << status.to_string();
+    }
   }
   std::uint64_t served = 0;
   for (const obs::QosClassRow& row : system.qos_breakdown()) {

@@ -8,8 +8,6 @@
 #include "common/rng.h"
 #include "core/profiles.h"
 #include "core/system.h"
-#include "flow/prefetcher.h"
-#include "flow/stager.h"
 #include "prt/comm.h"
 #include "runtime/async_io.h"
 #include "runtime/parallel_io.h"
@@ -481,47 +479,6 @@ TEST(AsyncWriterTest, ErrorSurfacesAtFlush) {
   Timeline caller;
   ASSERT_TRUE(writer.submit(caller, "async/fail", pattern_bytes(100, 1)).ok());
   EXPECT_EQ(writer.flush(caller).code(), ErrorCode::kUnavailable);
-}
-
-TEST(PrefetcherTest, HidesLatencyBehindCompute) {
-  StorageSystem system(HardwareProfile::test_profile());
-  StorageEndpoint& ep = system.endpoint(Location::kRemoteDisk);
-  auto data = pattern_bytes(1000000, 5);
-  {
-    Timeline tl;
-    auto session = FileSession::start(ep, tl, "pf/data", OpenMode::kOverwrite);
-    ASSERT_TRUE(session.ok());
-    ASSERT_TRUE(session->write(data).ok());
-  }
-  flow::StagingScheduler stager(system, nullptr);
-  flow::Prefetcher prefetcher(stager, ep);
-  Timeline caller;
-  prefetcher.prefetch(caller, "pf/data");
-  caller.advance(30.0);  // compute hides the ~1.4 s fetch
-  auto got = prefetcher.fetch(caller, "pf/data");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, data);
-  EXPECT_LT(caller.now(), 30.5);
-  EXPECT_EQ(prefetcher.hits(), 1u);
-}
-
-TEST(PrefetcherTest, ColdFetchIsSynchronous) {
-  StorageSystem system(HardwareProfile::test_profile());
-  StorageEndpoint& ep = system.endpoint(Location::kRemoteDisk);
-  auto data = pattern_bytes(1000000, 5);
-  {
-    Timeline tl;
-    auto session = FileSession::start(ep, tl, "pf/cold", OpenMode::kOverwrite);
-    ASSERT_TRUE(session.ok());
-    ASSERT_TRUE(session->write(data).ok());
-  }
-  flow::StagingScheduler stager(system, nullptr);
-  flow::Prefetcher prefetcher(stager, ep);
-  Timeline caller;
-  auto got = prefetcher.fetch(caller, "pf/cold");
-  ASSERT_TRUE(got.ok());
-  EXPECT_GE(caller.now(), 1.0);  // paid the transfer
-  EXPECT_EQ(prefetcher.hits(), 0u);
 }
 
 // ------------------------------------------------------------ subfile ----
