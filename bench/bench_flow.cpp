@@ -95,15 +95,6 @@ flow::Campaign build_campaign() {
   return campaign;
 }
 
-/// One mover worker: concurrent workers book shared devices in host
-/// thread-scheduling order, which would make the virtual-time summary
-/// drift run-to-run — the parity guard needs byte-stable numbers.
-flow::StagingConfig serial_staging() {
-  flow::StagingConfig config;
-  config.workers = 1;
-  return config;
-}
-
 struct RunResult {
   double makespan = 0.0;
   double stage_in = 0.0;  ///< hint: blocking stage-in ahead of the launch
@@ -128,8 +119,7 @@ RunResult run_campaign(bool planned) {
   check(bed.calibrate(), "ptool calibration");
   seed_ref(bed.system);
 
-  flow::StagingScheduler stager(bed.system, &bed.predictor,
-                                serial_staging());
+  flow::StagingScheduler stager(bed.system, &bed.predictor);
   flow::CampaignOptions options;
   options.predictor = &bed.predictor;
   if (planned) options.stager = &stager;
@@ -157,8 +147,7 @@ RunResult run_hint() {
   check(bed.calibrate(), "ptool calibration");
   seed_ref(bed.system);
 
-  flow::StagingScheduler stager(bed.system, &bed.predictor,
-                                serial_staging());
+  flow::StagingScheduler stager(bed.system, &bed.predictor);
   core::MetaCatalog catalog(&bed.system.metadb());
   std::vector<flow::StageTask> tasks;
   for (int t = 0; t < kRefTimesteps; ++t) {

@@ -79,7 +79,6 @@ struct Workload {
     testbed.system.reset_time();
     migrate::MigrationConfig config;
     config.enabled = true;
-    config.workers = 1;  // deterministic device-contention ordering
     config.throttle_bytes_per_sec = throttle_bytes_per_sec;
     migrate::MigrationEngine engine(testbed.system, testbed.predictor, config);
     return check(engine.run_once(), "migration round");

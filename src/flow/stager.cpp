@@ -53,8 +53,7 @@ StagingScheduler::StagingScheduler(core::StorageSystem& system,
     : system_(system),
       predictor_(predictor),
       config_(config),
-      catalog_(&system.metadb()),
-      pool_(static_cast<std::size_t>(std::max(1, config.workers))) {}
+      catalog_(&system.metadb()) {}
 
 StatusOr<double> StagingScheduler::price_move(const predict::Predictor& predictor,
                                               const std::string& path,
@@ -187,8 +186,8 @@ void StagingScheduler::run_task(const StageTask& task, StageOutcome* outcome) {
   outcome->priced_cost = priced.ok() ? *priced : 0.0;
   outcome->started_at = task.start_at;
 
-  // The mover is the system's own traffic: every device booking this
-  // worker makes carries the configured (background) class, so a wfq/edf
+  // The mover is the system's own traffic: every device booking a task
+  // makes carries the configured (background) class, so a wfq/edf
   // policy keeps tenant reads ahead of replica shuffling.
   simkit::QosScope scope(system_.qos_tag(config_.tenant_class));
   simkit::Timeline timeline;
@@ -257,11 +256,8 @@ std::vector<StageOutcome> StagingScheduler::execute(
     const std::vector<StageTask>& tasks) {
   std::vector<StageOutcome> outcomes(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const StageTask& task = tasks[i];
-    StageOutcome* outcome = &outcomes[i];
-    pool_.submit([this, &task, outcome] { run_task(task, outcome); });
+    run_task(tasks[i], &outcomes[i]);
   }
-  pool_.wait_idle();
   return outcomes;
 }
 

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "core/catalog.h"
 #include "core/system.h"
 #include "predict/predictor.h"
@@ -90,8 +89,6 @@ struct StagingConfig {
   /// Copy pacing: each task's virtual time is stretched so payload never
   /// streams faster than this (0 = unthrottled).
   std::uint64_t throttle_bytes_per_sec = 0;
-  /// Worker threads draining a batch.
-  int workers = 2;
   /// The service class every mover booking is tagged with. Background by
   /// default: staging is the system's own traffic.
   qos::TenantClass tenant_class = qos::TenantClass::kBackground;
@@ -115,9 +112,10 @@ class StagingScheduler {
     admission_ = admission;
   }
 
-  /// Executes every task on the worker pool and waits for the batch to
-  /// drain. Tasks are independent — one failing never blocks the others.
-  /// Outcomes come back in task order.
+  /// Executes every task in task order on the calling thread, so the
+  /// devices a batch books, and its virtual times, repeat run to run. Tasks
+  /// are independent — one failing never blocks the others. Outcomes come
+  /// back in task order.
   std::vector<StageOutcome> execute(const std::vector<StageTask>& tasks);
 
   /// Prices one task exactly as the mover will bill it: whole-object read
@@ -191,8 +189,6 @@ class StagingScheduler {
     std::uint64_t bytes = 0;
   };
   std::vector<StagedCopy> staged_;
-
-  ThreadPool pool_;
 };
 
 }  // namespace msra::flow

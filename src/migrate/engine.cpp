@@ -19,7 +19,6 @@ flow::StageTaskKind task_kind(MigrationKind kind) {
 flow::StagingConfig staging_config(const MigrationConfig& config) {
   flow::StagingConfig out;
   out.throttle_bytes_per_sec = config.throttle_bytes_per_sec;
-  out.workers = config.workers;
   return out;
 }
 

@@ -42,10 +42,9 @@ class MigrationEngine {
   MigrationEngine(core::StorageSystem& system,
                   const predict::Predictor& predictor, MigrationConfig config);
 
-  /// Executes every step of `plan` on the mover's worker pool and waits for
-  /// the batch to drain. Steps run concurrently (config.workers wide); each
-  /// step is independent — one failing never blocks the others. Outcomes
-  /// come back in plan order.
+  /// Executes every step of `plan` through the mover, in plan order on the
+  /// calling thread; each step is independent — one failing never blocks
+  /// the others. Outcomes come back in plan order.
   MigrationReport execute(const MigrationPlan& plan);
 
   /// One full background round: plan, then execute. Returns the report of

@@ -85,9 +85,9 @@ StatusOr<MigrationPlan> MigrationPlanner::plan() {
                                    : std::numeric_limits<std::uint64_t>::max();
 
   // Promotion reservations come out of the *current* free space; bytes a
-  // demotion will free only become usable in the next planning round (the
-  // engine runs steps concurrently, so same-round ordering is not
-  // guaranteed). Keyed by (class, server).
+  // demotion will free only become usable in the next planning round, so a
+  // promotion never depends on a step ahead of it in the same batch.
+  // Keyed by (class, server).
   std::map<std::pair<int, int>, std::uint64_t> reserved;
   auto reserved_key = [](core::ReplicaAddress address) {
     return std::make_pair(static_cast<int>(address.location), address.server);

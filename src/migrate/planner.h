@@ -90,8 +90,6 @@ struct MigrationConfig {
   /// Off by default — single-server systems have nowhere to rebalance to.
   bool rebalance = false;
   double rebalance_gap = 0.25;
-  /// Engine worker threads.
-  int workers = 2;
 };
 
 class MigrationPlanner {

@@ -191,6 +191,8 @@ TEST_F(FinalizeTest, FinalizeWithOpenHandles) {
   ASSERT_NE(*client.open(tiny_dataset("finalize-b", Location::kLocalDisk)),
             nullptr);
   write_step(client, a, 0, std::byte{7});
+  // finalize() destroys the session's handles, `a` included.
+  const std::uint64_t global_bytes = a->desc().global_bytes();
   EXPECT_TRUE(client.finalize().ok());
   EXPECT_TRUE(client.session().finalized());
   // The data outlives the session: a fresh consumer still reads it.
@@ -198,7 +200,7 @@ TEST_F(FinalizeTest, FinalizeWithOpenHandles) {
   DatasetHandle* again = *reader.open_existing("finalize-a");
   const auto bytes = again->read_whole(0);
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(bytes->size(), a->desc().global_bytes());
+  EXPECT_EQ(bytes->size(), global_bytes);
 }
 
 TEST_F(FinalizeTest, ConcurrentFinalizeOneWins) {

@@ -1,13 +1,24 @@
-// Minimal command-line parsing for msractl: --flag, --key value, --key=value
-// and positional arguments.
+// Command-line parsing for msractl: --flag, --key value, --key=value and
+// positional arguments, plus typed readers that reject malformed values.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace msra::tools {
+
+/// Bad command-line input; msractl prints the message and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 class Args {
  public:
@@ -36,6 +47,17 @@ class Args {
     return out;
   }
 
+  /// Throws UsageError naming the first option that `usage` does not list;
+  /// usage text writes each accepted option as "--name " or "--name]".
+  void check_known(const std::string& usage) const {
+    for (const auto& [key, values] : options_) {
+      if (usage.find("--" + key + " ") == std::string::npos &&
+          usage.find("--" + key + "]") == std::string::npos) {
+        throw UsageError("unknown option --" + key);
+      }
+    }
+  }
+
   bool has(const std::string& key) const { return options_.count(key) != 0; }
 
   std::string get(const std::string& key, const std::string& fallback = "") const {
@@ -44,12 +66,43 @@ class Args {
     return it->second.back();
   }
 
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    auto it = options_.find(key);
-    if (it == options_.end() || it->second.empty() || it->second.back().empty()) {
-      return fallback;
+  /// The last --key value as an int no smaller than `min`; `fallback` when
+  /// the option is absent or has no value.
+  int get_int(const std::string& key, int fallback,
+              int min = std::numeric_limits<int>::min()) const {
+    const std::string text = get(key);
+    return text.empty() ? fallback : to_number("--" + key, text, min);
+  }
+
+  /// The last --key value as a finite number; `fallback` when absent.
+  double get_double(const std::string& key, double fallback) const {
+    const std::string text = get(key);
+    return text.empty() ? fallback
+                        : to_number("--" + key, text,
+                                    std::numeric_limits<double>::lowest());
+  }
+
+  /// --key N, a size in MiB, as bytes; N below `floor` counts as `floor`.
+  std::uint64_t get_mb(const std::string& key, int fallback, int floor) const {
+    return static_cast<std::uint64_t>(std::max(floor, get_int(key, fallback)))
+           << 20;
+  }
+
+  /// Every "--key NAME=VALUE" in order. A bare NAME takes `fallback`, and
+  /// is an error when `fallback` is null.
+  std::vector<std::pair<std::string, std::string>> get_specs(
+      const std::string& key, const char* fallback) const {
+    std::vector<std::pair<std::string, std::string>> specs;
+    for (const std::string& spec : get_all(key)) {
+      const auto eq = spec.find('=');
+      if (eq == std::string::npos && fallback == nullptr) {
+        throw UsageError("--" + key + " '" + spec + "' wants NAME=VALUE");
+      }
+      specs.emplace_back(spec.substr(0, eq), eq == std::string::npos
+                                                 ? fallback
+                                                 : spec.substr(eq + 1));
     }
-    return std::stoll(it->second.back());
+    return specs;
   }
 
   /// All values supplied for a repeatable option.
@@ -59,6 +112,24 @@ class Args {
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// `text` as a whole, finite number no smaller than `min`; `what` names
+  /// it in errors.
+  template <typename T>
+  static T to_number(const std::string& what, const std::string& text,
+                     T min) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end ||
+        !std::isfinite(static_cast<double>(value))) {
+      throw UsageError(what + " '" + text + "' is not a number");
+    }
+    if (value < min) {
+      throw UsageError(what + " must be at least " + std::to_string(min));
+    }
+    return value;
+  }
 
  private:
   std::map<std::string, std::vector<std::string>> options_;
