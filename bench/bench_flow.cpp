@@ -119,7 +119,7 @@ RunResult run_campaign(bool planned) {
   check(bed.calibrate(), "ptool calibration");
   seed_ref(bed.system);
 
-  flow::StagingScheduler stager(bed.system, &bed.predictor);
+  flow::StagingScheduler stager(bed.system, bed.predictor);
   flow::CampaignOptions options;
   options.predictor = &bed.predictor;
   if (planned) options.stager = &stager;
@@ -147,7 +147,7 @@ RunResult run_hint() {
   check(bed.calibrate(), "ptool calibration");
   seed_ref(bed.system);
 
-  flow::StagingScheduler stager(bed.system, &bed.predictor);
+  flow::StagingScheduler stager(bed.system, bed.predictor);
   core::MetaCatalog catalog(&bed.system.metadb());
   std::vector<flow::StageTask> tasks;
   for (int t = 0; t < kRefTimesteps; ++t) {

@@ -1,4 +1,4 @@
-// Migration engine — hot-data promotion speedup and throttle overhead.
+// Migration — hot-data promotion speedup and throttle overhead.
 //
 // The paper's section 6 names automatic storage-resource selection as the
 // natural extension of the prediction work: "the system can automatically
@@ -8,9 +8,10 @@
 //
 //   1. A producer archives a dataset to remote tape; a consumer reads it
 //      repeatedly (feeding the access tracker).
-//   2. The migration engine prices promotion candidates with the
-//      predictor (benefit = heat x future read savings, cost = the priced
-//      copy itself) and promotes the hot timesteps to local disk.
+//   2. The mover's migration planner (flow::StagingScheduler::
+//      plan_migration) prices promotion candidates with the predictor
+//      (benefit = heat x future read savings, cost = the priced copy
+//      itself), and the mover promotes the hot timesteps to local disk.
 //   3. The same reads run again — the speedup column is the payoff.
 //   4. The same migration re-runs under a bytes/sec throttle; the stretch
 //      factor is the price of being polite to production traffic.
@@ -19,7 +20,7 @@
 // doubles as a drift guard (bench/baselines/BENCH_migration.json).
 #include "bench_util.h"
 
-#include "migrate/engine.h"
+#include "flow/stager.h"
 
 namespace msra::bench {
 namespace {
@@ -72,16 +73,17 @@ struct Workload {
     return total;
   }
 
-  migrate::MigrationReport migrate_once(std::uint64_t throttle_bytes_per_sec) {
-    // The background engine gets an idle maintenance window: start the
+  std::vector<flow::StageOutcome> migrate_once(
+      std::uint64_t throttle_bytes_per_sec) {
+    // The background mover gets an idle maintenance window: start the
     // device clocks fresh so its bill reflects the copies, not the queue
     // behind the foreground reads.
     testbed.system.reset_time();
-    migrate::MigrationConfig config;
-    config.enabled = true;
+    flow::StagingConfig config;
     config.throttle_bytes_per_sec = throttle_bytes_per_sec;
-    migrate::MigrationEngine engine(testbed.system, testbed.predictor, config);
-    return check(engine.run_once(), "migration round");
+    flow::StagingScheduler stager(testbed.system, testbed.predictor, config);
+    return stager.execute(
+        check(stager.plan_migration({}), "migration round"));
   }
 };
 
@@ -97,20 +99,21 @@ int run(const std::string& json_path) {
               "(%d timesteps x %d reads)\n",
               tape_seconds, kTimesteps, kReadsPerTimestep);
 
-  migrate::MigrationReport report = hot.migrate_once(0);
-  std::printf("\nmigration round (%zu step(s)):\n", report.outcomes.size());
+  const std::vector<flow::StageOutcome> report = hot.migrate_once(0);
+  std::printf("\nmigration round (%zu step(s)):\n", report.size());
   double priced_cost = 0.0;
   double executed_seconds = 0.0;
-  for (const auto& outcome : report.outcomes) {
+  std::size_t failures = 0;
+  for (const auto& outcome : report) {
     std::printf("  %-44s priced %8.2f s, executed %8.2f s\n",
-                outcome.step.label().c_str(), outcome.priced_cost,
+                outcome.task.label().c_str(), outcome.priced_cost,
                 outcome.executed_seconds);
     priced_cost += outcome.priced_cost;
     executed_seconds += outcome.executed_seconds;
+    if (!outcome.status.ok()) ++failures;
   }
-  if (report.failures() != 0) {
-    std::fprintf(stderr, "FATAL: %zu migration step(s) failed\n",
-                 report.failures());
+  if (failures != 0) {
+    std::fprintf(stderr, "FATAL: %zu migration step(s) failed\n", failures);
     return 1;
   }
 
@@ -132,15 +135,16 @@ int run(const std::string& json_path) {
   // traffic keeps its bandwidth, the migration stretches instead.
   Workload throttled;
   (void)throttled.read_all();  // same heat as the unthrottled run
-  migrate::MigrationReport slow = throttled.migrate_once(8ull << 10);
+  const std::vector<flow::StageOutcome> slow =
+      throttled.migrate_once(8ull << 10);
   double throttled_seconds = 0.0;
   double throttle_wait = 0.0;
-  for (const auto& outcome : slow.outcomes) {
+  for (const auto& outcome : slow) {
     throttled_seconds += outcome.executed_seconds;
     throttle_wait += outcome.throttle_wait;
+    if (!outcome.status.ok()) ++failures;
   }
-  if (slow.failures() != 0 ||
-      slow.outcomes.size() != report.outcomes.size()) {
+  if (failures != 0 || slow.size() != report.size()) {
     std::fprintf(stderr, "FATAL: throttled round diverged from unthrottled\n");
     return 1;
   }
@@ -159,7 +163,7 @@ int run(const std::string& json_path) {
                 "\"executed_seconds\":%.6f,"
                 "\"throttled_executed_seconds\":%.6f,"
                 "\"throttle_wait_seconds\":%.6f}",
-                kTimesteps, kReadsPerTimestep, report.outcomes.size(),
+                kTimesteps, kReadsPerTimestep, report.size(),
                 tape_seconds, disk_seconds, speedup, priced_cost,
                 executed_seconds, throttled_seconds, throttle_wait);
   write_summary_json(json_path, buf);

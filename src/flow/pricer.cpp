@@ -1,7 +1,6 @@
 #include "flow/pricer.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "core/catalog.h"
@@ -119,21 +118,12 @@ StatusOr<CampaignPrice> CampaignPricer::price(const Campaign& campaign,
             price_row.address = prestage_it->second;
             price_row.note = "prestaged";
             resolved = true;
-          } else {
-            // The session's replica choice: cheapest live replica today.
-            const runtime::IoPlan read_plan =
-                runtime::PlanBuilder::object_read(path, bytes);
-            double best = std::numeric_limits<double>::infinity();
-            for (core::ReplicaAddress address : instance->replicas) {
-              if (!system_.endpoint(address).available()) continue;
-              auto seconds = predictor_.price(read_plan, address.location);
-              if (seconds.ok() && *seconds < best) {
-                best = *seconds;
-                price_row.address = address;
-                resolved = true;
-              }
-            }
-            price_row.note = resolved ? "catalog replica" : "";
+          } else if (auto cheapest =
+                         cheapest_live_read(system_, predictor_, *instance);
+                     cheapest.ok()) {
+            price_row.address = cheapest->first;
+            price_row.note = "catalog replica";
+            resolved = true;
           }
         }
       }

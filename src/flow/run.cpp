@@ -101,7 +101,7 @@ StatusOr<flow::CampaignReport> Fleet::submit_campaign(
         // Copies toward the remaining waves overlap the next wave's I/O;
         // staged copies past their last consumer are dropped.
         run_staging(stager->plan_prestage(campaign, dispatched));
-        run_staging(stager->plan_gc(campaign));
+        run_staging(stager->plan_gc());
       }
     }
 

@@ -30,12 +30,69 @@ std::string_view stage_task_kind_name(StageTaskKind kind) {
 
 namespace {
 
+/// Every booking the mover makes is the system's own traffic, so a wfq/edf
+/// policy keeps tenant reads ahead of replica shuffling.
+constexpr qos::TenantClass kMoverClass = qos::TenantClass::kBackground;
+
 /// Copyless kinds only touch the catalog and the source object.
 bool copyless(StageTaskKind kind) {
   return kind == StageTaskKind::kEvict || kind == StageTaskKind::kGc;
 }
 
+/// Whether `record` has a live replica other than `except`.
+bool other_live(core::StorageSystem& system, const core::InstanceRecord& record,
+                core::ReplicaAddress except) {
+  for (core::ReplicaAddress address : record.replicas) {
+    if (address != except && system.endpoint(address).available()) return true;
+  }
+  return false;
+}
+
+std::pair<int, int> reservation_key(core::ReplicaAddress address) {
+  return std::make_pair(static_cast<int>(address.location), address.server);
+}
+
+/// A task of `kind` moving `record` from `from` to `to`. Promote and
+/// prestage keep their source replica; every other kind drops it.
+StageTask task_for(StageTaskKind kind, const core::InstanceRecord& record,
+                   core::ReplicaAddress from, core::ReplicaAddress to) {
+  const auto [app, name] = core::MetaCatalog::split_key(record.dataset_key);
+  StageTask task;
+  task.kind = kind;
+  task.app = app;
+  task.name = name;
+  task.timestep = record.timestep;
+  task.from = from;
+  task.to = to;
+  task.path = record.path;
+  task.bytes = record.bytes;
+  task.drop_source =
+      kind != StageTaskKind::kPromote && kind != StageTaskKind::kPrestage;
+  return task;
+}
+
 }  // namespace
+
+StatusOr<std::pair<core::ReplicaAddress, double>> cheapest_live_read(
+    core::StorageSystem& system, const predict::Predictor& predictor,
+    const core::InstanceRecord& record) {
+  const runtime::IoPlan plan =
+      runtime::PlanBuilder::object_read(record.path, record.bytes);
+  core::ReplicaAddress where = core::Location::kRemoteTape;
+  double best = std::numeric_limits<double>::infinity();
+  for (core::ReplicaAddress address : record.replicas) {
+    if (!system.endpoint(address).available()) continue;
+    auto seconds = predictor.price(plan, address.location);
+    if (seconds.ok() && *seconds < best) {
+      best = *seconds;
+      where = address;
+    }
+  }
+  if (!std::isfinite(best)) {
+    return Status::Unavailable("no live replica of " + record.dataset_key);
+  }
+  return std::make_pair(where, best);
+}
 
 std::string StageTask::label() const {
   std::string out(stage_task_kind_name(kind));
@@ -48,34 +105,25 @@ std::string StageTask::label() const {
 }
 
 StagingScheduler::StagingScheduler(core::StorageSystem& system,
-                                   const predict::Predictor* predictor,
+                                   const predict::Predictor& predictor,
                                    StagingConfig config)
     : system_(system),
       predictor_(predictor),
       config_(config),
       catalog_(&system.metadb()) {}
 
-StatusOr<double> StagingScheduler::price_move(const predict::Predictor& predictor,
-                                              const std::string& path,
-                                              std::uint64_t bytes,
-                                              core::ReplicaAddress from,
-                                              core::ReplicaAddress to) {
-  MSRA_ASSIGN_OR_RETURN(
-      double read_seconds,
-      predictor.price(runtime::PlanBuilder::object_read(path, bytes),
-                      from.location));
-  MSRA_ASSIGN_OR_RETURN(
-      double write_seconds,
-      predictor.price(runtime::PlanBuilder::object_write(
-                          path, bytes, srb::OpenMode::kOverwrite),
-                      to.location));
-  return read_seconds + write_seconds;
-}
-
 StatusOr<double> StagingScheduler::price_task(const StageTask& task) const {
   if (copyless(task.kind)) return 0.0;  // metadata-only
-  if (predictor_ == nullptr) return 0.0;
-  return price_move(*predictor_, task.path, task.bytes, task.from, task.to);
+  MSRA_ASSIGN_OR_RETURN(
+      double read_seconds,
+      predictor_.price(runtime::PlanBuilder::object_read(task.path, task.bytes),
+                       task.from.location));
+  MSRA_ASSIGN_OR_RETURN(
+      double write_seconds,
+      predictor_.price(runtime::PlanBuilder::object_write(
+                           task.path, task.bytes, srb::OpenMode::kOverwrite),
+                       task.to.location));
+  return read_seconds + write_seconds;
 }
 
 double StagingScheduler::idle_window(const StageTask& task) const {
@@ -141,14 +189,7 @@ Status StagingScheduler::commit(simkit::Timeline& timeline,
       MSRA_ASSIGN_OR_RETURN(
           core::InstanceRecord record,
           catalog_.instance(task.app, task.name, task.timestep));
-      bool other_live = false;
-      for (core::ReplicaAddress address : record.replicas) {
-        if (address != task.from && system_.endpoint(address).available()) {
-          other_live = true;
-          break;
-        }
-      }
-      if (!other_live) {
+      if (!other_live(system_, record, task.from)) {
         return Status::PermissionDenied(
             "refusing to drop the last live replica of " + record.dataset_key +
             " t" + std::to_string(task.timestep));
@@ -186,10 +227,7 @@ void StagingScheduler::run_task(const StageTask& task, StageOutcome* outcome) {
   outcome->priced_cost = priced.ok() ? *priced : 0.0;
   outcome->started_at = task.start_at;
 
-  // The mover is the system's own traffic: every device booking a task
-  // makes carries the configured (background) class, so a wfq/edf
-  // policy keeps tenant reads ahead of replica shuffling.
-  simkit::QosScope scope(system_.qos_tag(config_.tenant_class));
+  simkit::QosScope scope(system_.qos_tag(kMoverClass));
   simkit::Timeline timeline;
   timeline.advance_to(task.start_at);  // idle window (0 = start now)
   {
@@ -197,7 +235,7 @@ void StagingScheduler::run_task(const StageTask& task, StageOutcome* outcome) {
     Status status = Status::Ok();
     if (admission_ != nullptr && !copyless(task.kind)) {
       qos::AdmissionDecision decision = admission_->decide_move(
-          task.path, task.bytes, task.from, task.to, config_.tenant_class,
+          task.path, task.bytes, task.from, task.to, kMoverClass,
           timeline.now());
       if (decision.outcome == qos::AdmissionDecision::Outcome::kReject) {
         status = Status::ResourceExhausted("staging deferred: " +
@@ -244,8 +282,7 @@ void StagingScheduler::run_task(const StageTask& task, StageOutcome* outcome) {
   if (task.kind == StageTaskKind::kPrestage) {
     metrics.counter("flow.prestage.copies")->increment();
     std::lock_guard<std::mutex> lock(pin_mutex_);
-    staged_.push_back(StagedCopy{task.app, task.name, task.timestep, task.to,
-                                 task.bytes});
+    staged_.push_back(StagedCopy{task.app, task.name, task.timestep, task.to});
   }
   if (task.kind == StageTaskKind::kGc) {
     metrics.counter("flow.gc.dropped")->increment();
@@ -259,6 +296,232 @@ std::vector<StageOutcome> StagingScheduler::execute(
     run_task(tasks[i], &outcomes[i]);
   }
   return outcomes;
+}
+
+// ---- heat and capacity pressure --------------------------------------------
+
+std::optional<StageTask> StagingScheduler::best_copy(
+    const core::InstanceRecord& record, double readers, StageTaskKind kind,
+    const Reservations& reserved) const {
+  auto current = cheapest_live_read(system_, predictor_, record);
+  if (!current.ok()) return std::nullopt;  // nothing live: failover's problem
+  const auto [from, from_seconds] = *current;
+  const runtime::IoPlan read_plan =
+      runtime::PlanBuilder::object_read(record.path, record.bytes);
+
+  // Fastest-first destinations, from the ordered-candidates helper that
+  // placement and the advisor also use; in a cluster each remote class
+  // expands to every server (the source's server first).
+  std::optional<StageTask> best;
+  for (core::ReplicaAddress to : core::ordered_candidate_addresses(
+           {core::Location::kLocalDisk, from.server}, system_.cluster_size())) {
+    if (record.on(to)) continue;
+    runtime::StorageEndpoint& endpoint = system_.endpoint(to);
+    if (!endpoint.available()) continue;
+    auto promised = reserved.find(reservation_key(to));
+    const std::uint64_t reserve =
+        promised == reserved.end() ? 0 : promised->second;
+    if (endpoint.free_bytes() < reserve + record.bytes) continue;
+    auto to_seconds = predictor_.price(read_plan, to.location);
+    if (!to_seconds.ok() || *to_seconds >= from_seconds) continue;
+
+    StageTask task = task_for(kind, record, from, to);
+    task.benefit = readers * (from_seconds - *to_seconds);
+    auto cost = price_task(task);
+    if (!cost.ok()) continue;
+    task.cost = *cost;
+    const double net = task.benefit - task.cost;
+    if (net <= 0.0) continue;  // the copy costs more than it ever saves
+    if (!best || net > best->benefit - best->cost) best = std::move(task);
+  }
+  return best;
+}
+
+StatusOr<std::vector<StageTask>> StagingScheduler::plan_migration(
+    const MigrationConfig& config) {
+  std::vector<StageTask> out;
+  const std::vector<core::InstanceRecord> all = catalog_.all_instances();
+  migrate::AccessTracker& tracker = system_.access_tracker();
+
+  std::uint64_t batch_budget = config.max_batch_bytes > 0
+                                   ? config.max_batch_bytes
+                                   : std::numeric_limits<std::uint64_t>::max();
+  auto append = [&](StageTask task) {
+    if (task.kind != StageTaskKind::kEvict) {
+      batch_budget -= std::min(batch_budget, task.bytes);
+    }
+    out.push_back(std::move(task));
+  };
+  // Promotions only see space free today: bytes a demotion will free
+  // become usable in the next round, so a promotion never depends on a
+  // task ahead of it in the same batch.
+  Reservations reserved;
+
+  // ---- pressure: demote/evict the coldest residents ----------------------
+  // Every disk on every server is checked; demotions land on the tape of
+  // the SAME server as the pressured disk (server-side copy, no WAN hop;
+  // local disk counts as server 0).
+  std::vector<core::ReplicaAddress> pressured_addresses;
+  pressured_addresses.emplace_back(core::Location::kLocalDisk, 0);
+  for (int server = 0; server < system_.cluster_size(); ++server) {
+    pressured_addresses.emplace_back(core::Location::kRemoteDisk, server);
+  }
+  for (core::ReplicaAddress pressured : pressured_addresses) {
+    runtime::StorageEndpoint& endpoint = system_.endpoint(pressured);
+    if (!endpoint.available()) continue;
+    const std::uint64_t capacity = endpoint.capacity();
+    if (capacity == 0) continue;
+    const std::uint64_t used = endpoint.used();
+    if (static_cast<double>(used) <=
+        config.pressure_watermark * static_cast<double>(capacity)) {
+      continue;
+    }
+    const auto target = static_cast<std::uint64_t>(
+        config.target_watermark * static_cast<double>(capacity));
+    std::uint64_t to_free = used > target ? used - target : 0;
+
+    // Coldest first: fewest (decayed) reads, then oldest touch, then biggest
+    // payload (fewer moves), then a stable name/timestep key for determinism.
+    std::vector<const core::InstanceRecord*> residents;
+    for (const auto& record : all) {
+      if (record.on(pressured)) residents.push_back(&record);
+    }
+    std::stable_sort(
+        residents.begin(), residents.end(),
+        [&](const core::InstanceRecord* a, const core::InstanceRecord* b) {
+          const auto ha = tracker.heat(a->dataset_key);
+          const auto hb = tracker.heat(b->dataset_key);
+          if (ha.anticipated_reads() != hb.anticipated_reads()) {
+            return ha.anticipated_reads() < hb.anticipated_reads();
+          }
+          if (ha.last_touch != hb.last_touch) {
+            return ha.last_touch < hb.last_touch;
+          }
+          if (a->bytes != b->bytes) return a->bytes > b->bytes;
+          if (a->dataset_key != b->dataset_key) {
+            return a->dataset_key < b->dataset_key;
+          }
+          return a->timestep < b->timestep;
+        });
+
+    for (const core::InstanceRecord* record : residents) {
+      if (to_free == 0) break;
+      StageTask task;
+      if (other_live(system_, *record, pressured)) {
+        // The pressured copy is redundant: just drop it.
+        task = task_for(StageTaskKind::kEvict, *record, pressured, pressured);
+      } else {
+        // Copy to the archive first, then drop (copy-then-commit-then-drop:
+        // the instance never goes missing).
+        const core::ReplicaAddress archive{core::Location::kRemoteTape,
+                                           pressured.server};
+        runtime::StorageEndpoint& tape = system_.endpoint(archive);
+        if (!tape.available() || record->on(archive) ||
+            tape.free_bytes() < record->bytes ||
+            record->bytes > batch_budget) {
+          continue;
+        }
+        task = task_for(StageTaskKind::kDemote, *record, pressured, archive);
+        MSRA_ASSIGN_OR_RETURN(task.cost, price_task(task));
+      }
+      to_free -= std::min(to_free, record->bytes);
+      append(std::move(task));
+    }
+  }
+
+  // ---- rebalance: even out skewed remote-disk servers --------------------
+  // When the fullest remote-disk server and the emptiest differ by more
+  // than rebalance_gap of capacity, the coldest residents of the full one
+  // move over (a move, not a copy — the point is to free the full server).
+  if (config.rebalance && system_.cluster_size() > 1) {
+    int fullest = -1, emptiest = -1;
+    double fullest_frac = 0.0, emptiest_frac = 1.0;
+    for (int server = 0; server < system_.cluster_size(); ++server) {
+      runtime::StorageEndpoint& endpoint =
+          system_.endpoint({core::Location::kRemoteDisk, server});
+      if (!endpoint.available() || endpoint.capacity() == 0) continue;
+      const double frac = static_cast<double>(endpoint.used()) /
+                          static_cast<double>(endpoint.capacity());
+      if (fullest < 0 || frac > fullest_frac) {
+        fullest = server;
+        fullest_frac = frac;
+      }
+      if (emptiest < 0 || frac < emptiest_frac) {
+        emptiest = server;
+        emptiest_frac = frac;
+      }
+    }
+    if (fullest >= 0 && emptiest >= 0 && fullest != emptiest &&
+        fullest_frac - emptiest_frac > config.rebalance_gap) {
+      const core::ReplicaAddress src{core::Location::kRemoteDisk, fullest};
+      const core::ReplicaAddress dst{core::Location::kRemoteDisk, emptiest};
+      runtime::StorageEndpoint& src_ep = system_.endpoint(src);
+      runtime::StorageEndpoint& dst_ep = system_.endpoint(dst);
+      // Move cold residents until the two servers meet in the middle.
+      const double mid = (fullest_frac + emptiest_frac) / 2.0;
+      std::uint64_t to_move =
+          src_ep.used() - static_cast<std::uint64_t>(
+                              mid * static_cast<double>(src_ep.capacity()));
+      std::vector<const core::InstanceRecord*> residents;
+      for (const auto& record : all) {
+        if (record.on(src) && !record.on(dst)) residents.push_back(&record);
+      }
+      std::stable_sort(
+          residents.begin(), residents.end(),
+          [&](const core::InstanceRecord* a, const core::InstanceRecord* b) {
+            const auto ha = tracker.heat(a->dataset_key);
+            const auto hb = tracker.heat(b->dataset_key);
+            if (ha.anticipated_reads() != hb.anticipated_reads()) {
+              return ha.anticipated_reads() < hb.anticipated_reads();
+            }
+            if (a->bytes != b->bytes) return a->bytes > b->bytes;
+            if (a->dataset_key != b->dataset_key) {
+              return a->dataset_key < b->dataset_key;
+            }
+            return a->timestep < b->timestep;
+          });
+      for (const core::InstanceRecord* record : residents) {
+        if (to_move == 0 || record->bytes > batch_budget) break;
+        std::uint64_t& reserve = reserved[reservation_key(dst)];
+        if (dst_ep.free_bytes() < reserve + record->bytes) break;
+        StageTask task =
+            task_for(StageTaskKind::kRebalance, *record, src, dst);
+        MSRA_ASSIGN_OR_RETURN(task.cost, price_task(task));
+        reserve += record->bytes;
+        to_move -= std::min(to_move, record->bytes);
+        append(std::move(task));
+      }
+    }
+  }
+
+  // ---- promotion: hot data stuck on slow media ---------------------------
+  // Heat is pooled per dataset, so one timestep's expected future reads are
+  // its per-instance share.
+  std::map<std::string, std::uint64_t> instance_count;
+  for (const auto& record : all) ++instance_count[record.dataset_key];
+  std::vector<StageTask> promotions;
+  for (const auto& record : all) {
+    const double reads = tracker.heat(record.dataset_key).anticipated_reads();
+    if (reads < static_cast<double>(config.hot_reads)) continue;
+    std::optional<StageTask> best = best_copy(
+        record,
+        reads / static_cast<double>(instance_count[record.dataset_key]),
+        StageTaskKind::kPromote, reserved);
+    if (best) promotions.push_back(std::move(*best));
+  }
+  // Biggest net saving first; deterministic tie-break.
+  std::stable_sort(promotions.begin(), promotions.end(),
+                   [](const StageTask& a, const StageTask& b) {
+                     const double net_a = a.benefit - a.cost;
+                     const double net_b = b.benefit - b.cost;
+                     if (net_a != net_b) return net_a > net_b;
+                     if (a.bytes != b.bytes) return a.bytes > b.bytes;
+                     return a.timestep < b.timestep;
+                   });
+  for (StageTask& task : promotions) {
+    if (task.bytes <= batch_budget) append(std::move(task));
+  }
+  return out;
 }
 
 // ---- campaign lifecycle ---------------------------------------------------
@@ -296,7 +559,6 @@ bool StagingScheduler::pinned(const std::string& dataset_key,
 std::vector<StageTask> StagingScheduler::plan_prestage(
     const Campaign& campaign, const std::vector<bool>& dispatched) {
   std::vector<StageTask> out;
-  if (predictor_ == nullptr) return out;
 
   // Deduplicated future inputs, in stage/intent order for determinism.
   std::vector<DatasetRef> inputs;
@@ -309,87 +571,24 @@ std::vector<StageTask> StagingScheduler::plan_prestage(
     }
   }
 
-  // Destination space promised to earlier tasks in this same batch, keyed
-  // by (class, server) — the planner's reservation discipline.
-  std::map<std::pair<int, int>, std::uint64_t> reserved;
-  auto reserved_key = [](core::ReplicaAddress address) {
-    return std::make_pair(static_cast<int>(address.location), address.server);
-  };
-
+  Reservations reserved;
   for (const DatasetRef& input : inputs) {
     const auto [app, name] =
         core::MetaCatalog::split_key(campaign.dataset_key(input.dataset));
     auto record = catalog_.instance(app, name, input.timestep);
     if (!record.ok()) continue;  // not produced yet: nothing to stage
-
-    // Cheapest live replica today (the session's replica choice).
-    const runtime::IoPlan read_plan =
-        runtime::PlanBuilder::object_read(record->path, record->bytes);
-    core::ReplicaAddress current = core::Location::kRemoteTape;
-    double current_seconds = std::numeric_limits<double>::infinity();
-    for (core::ReplicaAddress address : record->replicas) {
-      if (!system_.endpoint(address).available()) continue;
-      auto seconds = predictor_->price(read_plan, address.location);
-      if (seconds.ok() && *seconds < current_seconds) {
-        current_seconds = *seconds;
-        current = address;
-      }
-    }
-    if (!std::isfinite(current_seconds)) continue;  // nothing live
-
-    const int readers = campaign.pending_readers(input, dispatched);
-    if (readers <= 0) continue;
-
-    // Fastest-first destinations, from the same ordered-candidates helper
-    // placement, the advisor and the migration planner use.
-    StageTask best;
-    double best_net = 0.0;
-    bool found = false;
-    for (core::ReplicaAddress destination : core::ordered_candidate_addresses(
-             {core::Location::kLocalDisk, current.server},
-             system_.cluster_size())) {
-      if (record->on(destination)) continue;
-      runtime::StorageEndpoint& endpoint = system_.endpoint(destination);
-      if (!endpoint.available()) continue;
-      const std::uint64_t reserve = reserved[reserved_key(destination)];
-      if (endpoint.free_bytes() < reserve + record->bytes) continue;
-      auto dest_read = predictor_->price(read_plan, destination.location);
-      if (!dest_read.ok() || *dest_read >= current_seconds) continue;
-
-      StageTask task;
-      task.kind = StageTaskKind::kPrestage;
-      task.app = app;
-      task.name = name;
-      task.timestep = input.timestep;
-      task.from = current;
-      task.to = destination;
-      task.path = record->path;
-      task.bytes = record->bytes;
-      task.drop_source = false;
-      task.benefit =
-          static_cast<double>(readers) * (current_seconds - *dest_read);
-      auto cost = price_move(*predictor_, task.path, task.bytes, task.from,
-                             task.to);
-      if (!cost.ok()) continue;
-      task.cost = *cost;
-      const double net = task.benefit - task.cost;
-      if (net <= 0.0) continue;  // the copy costs more than it ever saves
-      if (!found || net > best_net) {
-        best = std::move(task);
-        best_net = net;
-        found = true;
-      }
-    }
-    if (!found) continue;
-    best.start_at = idle_window(best);
-    reserved[reserved_key(best.to)] += best.bytes;
-    out.push_back(std::move(best));
+    std::optional<StageTask> best =
+        best_copy(*record, campaign.pending_readers(input, dispatched),
+                  StageTaskKind::kPrestage, reserved);
+    if (!best) continue;
+    best->start_at = idle_window(*best);
+    reserved[reservation_key(best->to)] += best->bytes;
+    out.push_back(std::move(*best));
   }
   return out;
 }
 
-std::vector<StageTask> StagingScheduler::plan_gc(const Campaign& campaign) {
-  (void)campaign;
+std::vector<StageTask> StagingScheduler::plan_gc() {
   std::vector<StageTask> out;
   std::vector<StagedCopy> copies;
   {
@@ -398,19 +597,10 @@ std::vector<StageTask> StagingScheduler::plan_gc(const Campaign& campaign) {
   }
   for (const StagedCopy& copy : copies) {
     if (pinned(copy.app + "/" + copy.name, copy.timestep)) continue;
-    StageTask task;
-    task.kind = StageTaskKind::kGc;
-    task.app = copy.app;
-    task.name = copy.name;
-    task.timestep = copy.timestep;
-    task.from = copy.address;
-    task.to = copy.address;
-    task.path = "";  // resolved below from the catalog record
-    task.bytes = copy.bytes;
-    task.drop_source = true;
     auto record = catalog_.instance(copy.app, copy.name, copy.timestep);
     if (!record.ok() || !record->on(copy.address)) continue;  // already gone
-    task.path = record->path;
+    StageTask task =
+        task_for(StageTaskKind::kGc, *record, copy.address, copy.address);
     task.start_at = idle_window(task);
     out.push_back(std::move(task));
   }

@@ -3,7 +3,13 @@
 //
 // Every replica movement in the system — promotion, demotion, eviction,
 // rebalance, campaign prestage, staged-copy GC — is a StageTask executed
-// here. One mover means one discipline:
+// here. Three planners produce the tasks: plan_migration (observed heat and
+// capacity pressure), plan_prestage (declared campaign reads) and plan_gc
+// (staged copies past their last consumer). A system runs ONE scheduler for
+// all three: the pin registry and the catalog mutex only order the drops of
+// the scheduler that holds them, so with two schedulers an eviction of one
+// replica and a GC drop of the other could each pass their last-live check.
+// One mover means one discipline:
 //
 //   * priced first: each task's cost is the Predictor price of the same
 //     PlanBuilder whole-object plans the executor then runs (Eq. 2:
@@ -26,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,17 +96,39 @@ struct StagingConfig {
   /// Copy pacing: each task's virtual time is stretched so payload never
   /// streams faster than this (0 = unthrottled).
   std::uint64_t throttle_bytes_per_sec = 0;
-  /// The service class every mover booking is tagged with. Background by
-  /// default: staging is the system's own traffic.
-  qos::TenantClass tenant_class = qos::TenantClass::kBackground;
 };
+
+/// Knobs of plan_migration.
+struct MigrationConfig {
+  /// Cap on payload bytes per planning round (0 = unlimited).
+  std::uint64_t max_batch_bytes = 0;
+  /// Minimum observed reads before a dataset counts as hot.
+  std::uint64_t hot_reads = 2;
+  /// Fraction of capacity above which a resource is under pressure.
+  double pressure_watermark = 0.90;
+  /// Demote/evict until usage drops back under this fraction.
+  double target_watermark = 0.75;
+  /// Cross-server rebalancing pass (clusters only): move the coldest
+  /// remote-disk residents from the fullest server to the emptiest one
+  /// whenever their usage fractions differ by more than `rebalance_gap`.
+  /// Off by default — single-server systems have nowhere to rebalance to.
+  bool rebalance = false;
+  double rebalance_gap = 0.25;
+};
+
+/// The session's replica choice under a predictor: the live replica of
+/// `record` whose whole-object read prices cheapest, with that price.
+/// Replicas the predictor cannot price are passed over; Unavailable when no
+/// live replica is left.
+StatusOr<std::pair<core::ReplicaAddress, double>> cheapest_live_read(
+    core::StorageSystem& system, const predict::Predictor& predictor,
+    const core::InstanceRecord& record);
 
 class StagingScheduler {
  public:
-  /// `system` must outlive the scheduler. `predictor` may be null (tasks
-  /// then execute unpriced: priced_cost 0, prestage planning disabled).
+  /// `system` and `predictor` must outlive the scheduler.
   StagingScheduler(core::StorageSystem& system,
-                   const predict::Predictor* predictor,
+                   const predict::Predictor& predictor,
                    StagingConfig config = {});
 
   const StagingConfig& config() const { return config_; }
@@ -120,21 +149,35 @@ class StagingScheduler {
 
   /// Prices one task exactly as the mover will bill it: whole-object read
   /// plan at `from` plus whole-object write plan at `to` (0 for copyless
-  /// kinds, or when the scheduler has no predictor).
+  /// kinds).
   StatusOr<double> price_task(const StageTask& task) const;
-
-  /// Shared pricing primitive (also used by migrate::MigrationPlanner so
-  /// planner cost == mover bill by construction).
-  static StatusOr<double> price_move(const predict::Predictor& predictor,
-                                     const std::string& path,
-                                     std::uint64_t bytes,
-                                     core::ReplicaAddress from,
-                                     core::ReplicaAddress to);
 
   /// The earliest virtual time `task`'s route has drained its booked work:
   /// max Resource::next_free() over the source and destination device
   /// paths. Prestage planning stamps this into StageTask::start_at.
   double idle_window(const StageTask& task) const;
+
+  // ---- heat and capacity pressure -----------------------------------------
+
+  /// One migration round over the whole catalog — the paper's section 6
+  /// "automatically decide which storage resources should be used according
+  /// to the capacity and performance of each storage resource":
+  ///
+  ///   * demotion/eviction, for every (resource, server) over its pressure
+  ///     watermark: the coldest residents are copied to the tape of the same
+  ///     server and their disk replica dropped, or just dropped when another
+  ///     live replica exists, until usage is back under the target;
+  ///   * rebalance (when enabled and the cluster has more than one server):
+  ///     cold residents move from the fullest remote disk to the emptiest;
+  ///   * promotion: a hot instance is copied toward faster media when its
+  ///     share of the dataset's read heat times the priced read saving
+  ///     exceeds the priced copy, biggest net saving first.
+  ///
+  /// Tasks come back in that order (promotions last: they only use space
+  /// free today, not space the demotions ahead of them will free), within
+  /// `max_batch_bytes` of payload.
+  StatusOr<std::vector<StageTask>> plan_migration(
+      const MigrationConfig& config);
 
   // ---- campaign lifecycle -------------------------------------------------
 
@@ -155,23 +198,36 @@ class StagingScheduler {
   /// already exist in the catalog: copy toward the destination whose priced
   /// read is cheapest, when declared-reader savings exceed the priced move
   /// (the promotion rule, driven by declarations instead of observed heat).
-  /// Tasks start in their routes' idle windows. Empty without a predictor.
+  /// Tasks start in their routes' idle windows.
   std::vector<StageTask> plan_prestage(const Campaign& campaign,
                                        const std::vector<bool>& dispatched);
 
   /// Plans GC drops for every staged copy this scheduler created whose
   /// (dataset, timestep) no undispatched stage names any more — CASTOR's
   /// "drop when the last consumer finishes".
-  std::vector<StageTask> plan_gc(const Campaign& campaign);
+  std::vector<StageTask> plan_gc();
 
  private:
+  /// Destination bytes promised to earlier tasks of one planning batch,
+  /// keyed by (class, server).
+  using Reservations = std::map<std::pair<int, int>, std::uint64_t>;
+
+  /// The search promotion and prestage share: from `record`'s cheapest live
+  /// replica, the copy of `kind` with the best net saving above zero over
+  /// the fastest-first destinations with room beyond `reserved`, where the
+  /// saving is `readers` times the priced read difference. Destinations the
+  /// predictor cannot price are passed over.
+  std::optional<StageTask> best_copy(const core::InstanceRecord& record,
+                                     double readers, StageTaskKind kind,
+                                     const Reservations& reserved) const;
+
   void run_task(const StageTask& task, StageOutcome* outcome);
   Status copy_object(simkit::Timeline& timeline, const StageTask& task);
   /// Catalog commit + source drop, under the catalog mutex.
   Status commit(simkit::Timeline& timeline, const StageTask& task);
 
   core::StorageSystem& system_;
-  const predict::Predictor* predictor_;
+  const predict::Predictor& predictor_;
   StagingConfig config_;
   core::MetaCatalog catalog_;
   std::mutex catalog_mutex_;  ///< serializes read-modify-write commits
@@ -186,7 +242,6 @@ class StagingScheduler {
     std::string name;
     int timestep = 0;
     core::ReplicaAddress address = core::Location::kLocalDisk;
-    std::uint64_t bytes = 0;
   };
   std::vector<StagedCopy> staged_;
 };

@@ -1,5 +1,5 @@
 // AccessTracker: per-dataset access heat, fed from the session read/write
-// paths and consumed by the migration planner.
+// paths and consumed by flow::StagingScheduler::plan_migration.
 //
 // The paper's future-work direction ("the system can automatically decide
 // which storage resources should be used according to the capacity and
@@ -9,8 +9,8 @@
 // perturbing the simulated experiments.
 //
 // Deliberately core-free (std + obs only): core::StorageSystem owns one
-// tracker while src/migrate/'s planner and engine depend on core, so this
-// header must not close that cycle.
+// tracker while the mover and the cache that read it depend on core, so
+// this header must not close that cycle.
 #pragma once
 
 #include <cstdint>

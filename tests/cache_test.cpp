@@ -16,7 +16,7 @@
 #include "core/placement.h"
 #include "core/msra.h"
 #include "core/session.h"
-#include "migrate/engine.h"
+#include "flow/stager.h"
 #include "obs/report.h"
 #include "predict/ptool.h"
 #include "runtime/plan.h"
@@ -172,14 +172,12 @@ TEST_F(CacheTest, PlannerIgnoresStaleHeatWithDecay) {
   EXPECT_LT(tracker.heat("astro/stale").decayed_reads, 2.0);
   EXPECT_EQ(tracker.heat("astro/fresh").decayed_reads, 4.0);
 
-  migrate::MigrationConfig config;
-  config.enabled = true;
-  migrate::MigrationEngine engine(system_, predictor_, config);
-  auto plan = engine.planner().plan();
+  flow::StagingScheduler stager(system_, predictor_);
+  auto plan = stager.plan_migration({});
   ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->steps.size(), 1u) << "only the fresh dataset is hot";
-  EXPECT_EQ(plan->steps.front().kind, migrate::MigrationKind::kPromote);
-  EXPECT_EQ(plan->steps.front().path, fresh->path);
+  ASSERT_EQ(plan->size(), 1u) << "only the fresh dataset is hot";
+  EXPECT_EQ(plan->front().kind, flow::StageTaskKind::kPromote);
+  EXPECT_EQ(plan->front().path, fresh->path);
 }
 
 // --------------------------------------------- admission + hit roundtrip --

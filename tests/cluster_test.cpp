@@ -14,8 +14,8 @@
 #include "core/client.h"
 #include "core/placement.h"
 #include "core/session.h"
+#include "flow/stager.h"
 #include "meta/database.h"
-#include "migrate/engine.h"
 #include "predict/ptool.h"
 #include "runtime/plan.h"
 
@@ -536,22 +536,21 @@ TEST_F(RebalanceTest, RebalancePricesExactlyReadPlusWriteAndEvensServers) {
   ASSERT_GT(system_.endpoint({Location::kRemoteDisk, home}).used(),
             system_.profile().remote_disk_capacity / 4);
 
-  migrate::MigrationConfig config;
-  config.enabled = true;
+  flow::MigrationConfig config;
   config.rebalance = true;
-  migrate::MigrationPlanner planner(system_, predictor_, config);
-  auto plan = planner.plan();
+  flow::StagingScheduler stager(system_, predictor_);
+  auto plan = stager.plan_migration(config);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-  ASSERT_FALSE(plan->steps.empty()) << "the skew must trigger a rebalance";
-  for (const auto& step : plan->steps) {
-    ASSERT_EQ(step.kind, migrate::MigrationKind::kRebalance);
+  ASSERT_FALSE(plan->empty()) << "the skew must trigger a rebalance";
+  for (const auto& step : *plan) {
+    ASSERT_EQ(step.kind, flow::StageTaskKind::kRebalance);
     EXPECT_EQ(step.from, ReplicaAddress(Location::kRemoteDisk, home));
     EXPECT_EQ(step.to.location, Location::kRemoteDisk);
     EXPECT_NE(step.to.server, home);
     EXPECT_TRUE(step.drop_source) << "a rebalance moves, it does not copy";
     // Cross-server price equality: a rebalance bills exactly the
     // predictor's read@from + write@to, same as every other step.
-    auto priced = planner.price_step(step);
+    auto priced = stager.price_task(step);
     ASSERT_TRUE(priced.ok());
     auto read_cost = predictor_.price(
         runtime::PlanBuilder::object_read(step.path, step.bytes),
@@ -565,16 +564,20 @@ TEST_F(RebalanceTest, RebalancePricesExactlyReadPlusWriteAndEvensServers) {
     EXPECT_DOUBLE_EQ(*priced, *read_cost + *write_cost);
   }
 
-  migrate::MigrationEngine engine(system_, predictor_, config);
-  auto report = engine.run_once();
-  ASSERT_TRUE(report.ok()) << report.status().to_string();
-  EXPECT_TRUE(report->ok());
-  EXPECT_GT(report->moved_bytes, 0u);
+  MetaCatalog catalog(&system_.metadb());
+  for (const auto& outcome : stager.execute(*plan)) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.to_string();
+    // Each moved instance now lives on its new server only.
+    auto record = catalog.instance(outcome.task.app, outcome.task.name,
+                                   outcome.task.timestep);
+    ASSERT_TRUE(record.ok());
+    EXPECT_EQ(record->replicas,
+              std::vector<ReplicaAddress>{outcome.task.to});
+  }
   // The gap closed below the trigger: a second planning round is idle.
-  migrate::MigrationPlanner after(system_, predictor_, config);
-  auto second = after.plan();
+  auto second = stager.plan_migration(config);
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->steps.empty());
+  EXPECT_TRUE(second->empty());
   // Moved instances still read back fine from their new home.
   const auto replicas = handle->replica_addresses(0);
   ASSERT_EQ(replicas.size(), 1u);

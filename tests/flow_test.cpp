@@ -5,7 +5,7 @@
 // The determinism test reruns one campaign against two fresh systems and
 // requires bit-identical per-stage virtual latencies — the same property
 // BENCH_flow.json's byte-stable baseline relies on. The concurrent test
-// races a campaign against migration pressure over one shared system and
+// races a campaign against migration rounds on one shared scheduler and
 // doubles as the TSan stress for the mover's pin/catalog locking.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "flow/pricer.h"
 #include "flow/run.h"
 #include "flow/stager.h"
-#include "migrate/engine.h"
 #include "predict/ptool.h"
 #include "qos/admission.h"
 
@@ -228,7 +227,7 @@ TEST_F(FlowTest, PricerWithStagerQuotesPrestagedPlacement) {
   auto static_price = pricer.price(campaign);
   ASSERT_TRUE(static_price.ok());
 
-  StagingScheduler stager(system_, &predictor_);
+  StagingScheduler stager(system_, predictor_);
   auto planned_price = pricer.price(campaign, &stager);
   ASSERT_TRUE(planned_price.ok());
   ASSERT_EQ(planned_price->stages[0].intents.size(), 1u);
@@ -247,7 +246,7 @@ TEST_F(FlowTest, PrestagePlanCopiesTowardDeclaredConsumers) {
   campaign.stage("mse", Workload().open_existing("ref").read_whole("ref", 0));
   campaign.stage("viz", Workload().open_existing("ref").read_whole("ref", 0));
 
-  StagingScheduler stager(system_, &predictor_);
+  StagingScheduler stager(system_, predictor_);
   std::vector<StageTask> tasks = stager.plan_prestage(campaign, {});
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_EQ(tasks[0].kind, StageTaskKind::kPrestage);
@@ -278,7 +277,7 @@ TEST_F(FlowTest, GcRefusesToDropReplicaNamedByUndispatchedStage) {
   campaign.stage("mse", Workload().open_existing("ref").read_whole("ref", 0));
   campaign.stage("viz", Workload().open_existing("ref").read_whole("ref", 0));
 
-  StagingScheduler stager(system_, &predictor_);
+  StagingScheduler stager(system_, predictor_);
   stager.pin_campaign(campaign);
   std::vector<StageTask> tasks = stager.plan_prestage(campaign, {});
   ASSERT_EQ(tasks.size(), 1u);
@@ -286,7 +285,7 @@ TEST_F(FlowTest, GcRefusesToDropReplicaNamedByUndispatchedStage) {
   ASSERT_TRUE(outcomes[0].status.ok());
 
   // While any stage still names the input, GC plans nothing...
-  EXPECT_TRUE(stager.plan_gc(campaign).empty());
+  EXPECT_TRUE(stager.plan_gc().empty());
 
   // ...and even a directly-submitted drop is refused (CASTOR's last-consumer
   // rule), with the refusal counted.
@@ -312,7 +311,7 @@ TEST_F(FlowTest, GcRefusesToDropReplicaNamedByUndispatchedStage) {
   // After the last consumer dispatches, GC drops the staged copy.
   stager.release_stage(campaign, 0);
   stager.release_stage(campaign, 1);
-  std::vector<StageTask> gc = stager.plan_gc(campaign);
+  std::vector<StageTask> gc = stager.plan_gc();
   ASSERT_EQ(gc.size(), 1u);
   EXPECT_EQ(gc[0].kind, StageTaskKind::kGc);
   auto dropped = stager.execute(gc);
@@ -335,7 +334,7 @@ TEST_F(FlowTest, CampaignDeclarationsSeedTrackerHeat) {
   migrate::AccessTracker& tracker = system_.access_tracker();
   const double before = tracker.heat("astro/ref").anticipated_reads();
 
-  StagingScheduler stager(system_, &predictor_);
+  StagingScheduler stager(system_, predictor_);
   stager.pin_campaign(campaign);
   migrate::DatasetHeat pinned = tracker.heat("astro/ref");
   EXPECT_DOUBLE_EQ(pinned.expected_reads, 2.0);
@@ -377,9 +376,12 @@ TEST_F(FlowTest, SubmitCampaignRunsWavesInDependencyOrder) {
   EXPECT_EQ(system_.metrics().counter("flow.campaigns")->value(), 1u);
 }
 
+/// Runs a sim -> mse -> viz campaign over tape-resident `ref`, staged by
+/// `stager` (null: pure wave dispatch), and returns its makespan.
 double campaign_makespan(StorageSystem& system,
-                         const predict::Predictor* predictor,
-                         bool with_stager, std::vector<double>* latencies) {
+                         const predict::Predictor& predictor,
+                         StagingScheduler* stager,
+                         std::vector<double>* latencies) {
   Campaign campaign("astro");
   campaign.stage("sim", Workload()
                             .open(small_dataset("frame", Location::kRemoteDisk))
@@ -402,9 +404,8 @@ double campaign_makespan(StorageSystem& system,
   campaign.after("viz", "mse");
   Fleet fleet(system);
   CampaignOptions options;
-  options.predictor = predictor;
-  StagingScheduler stager(system, predictor);
-  if (with_stager) options.stager = &stager;
+  options.predictor = &predictor;
+  options.stager = stager;
   auto report = fleet.submit_campaign(campaign, options);
   EXPECT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_TRUE(report->ok());
@@ -413,7 +414,7 @@ double campaign_makespan(StorageSystem& system,
       latencies->push_back(stage.latency());
     }
   }
-  if (with_stager) {
+  if (stager != nullptr) {
     bool prestaged = false;
     for (const StageOutcome& outcome : report->staging) {
       if (outcome.task.kind == StageTaskKind::kPrestage && outcome.status.ok()) {
@@ -430,10 +431,11 @@ TEST_F(FlowTest, PlannedStagingBeatsStaticPlacement) {
   // window to stage it toward the consumer before mse dispatches.
   seed_dataset("astro", "ref", Location::kRemoteTape, 1);
   const double static_makespan =
-      campaign_makespan(system_, &predictor_, /*with_stager=*/false, nullptr);
+      campaign_makespan(system_, predictor_, /*stager=*/nullptr, nullptr);
   system_.reset_time();
+  StagingScheduler stager(system_, predictor_);
   const double planned_makespan =
-      campaign_makespan(system_, &predictor_, /*with_stager=*/true, nullptr);
+      campaign_makespan(system_, predictor_, &stager, nullptr);
   EXPECT_LT(planned_makespan, static_makespan)
       << "staging the tape input toward its consumer must shorten the "
          "campaign";
@@ -463,7 +465,8 @@ TEST_F(FlowTest, CampaignRerunIsBitIdentical) {
       ASSERT_TRUE(session.finalize().ok());
     }
     system.reset_time();
-    campaign_makespan(system, &predictor, /*with_stager=*/true, latencies);
+    StagingScheduler stager(system, predictor);
+    campaign_makespan(system, predictor, &stager, latencies);
   };
   std::vector<double> first, second;
   run(&first);
@@ -476,27 +479,59 @@ TEST_F(FlowTest, CampaignRerunIsBitIdentical) {
 }
 
 TEST_F(FlowTest, ConcurrentCampaignsAndMigrationPressure) {
-  // A campaign and a migration round race over one shared system: the
-  // mover's pin registry, catalog commits and the fleet's shared devices
-  // are all exercised from two host threads (the TSan target).
+  // A campaign and migration rounds race on one scheduler over one shared
+  // system: the mover's pin registry, catalog commits and the fleet's
+  // shared devices are all exercised from two host threads (the TSan
+  // target).
   seed_dataset("astro", "ref", Location::kRemoteTape, 1);
   seed_dataset("astro", "cold", Location::kRemoteDisk, 2);
 
-  migrate::MigrationConfig config;
-  config.enabled = true;
-  migrate::MigrationEngine engine(system_, predictor_, config);
-
+  StagingScheduler stager(system_, predictor_);
   std::thread migrator([&] {
     for (int round = 0; round < 3; ++round) {
-      auto report = engine.run_once();
-      EXPECT_TRUE(report.ok()) << report.status().to_string();
+      auto tasks = stager.plan_migration({});
+      ASSERT_TRUE(tasks.ok()) << tasks.status().to_string();
+      stager.execute(*tasks);
     }
   });
-  std::thread runner([&] {
-    campaign_makespan(system_, &predictor_, /*with_stager=*/true, nullptr);
-  });
+  std::thread runner(
+      [&] { campaign_makespan(system_, predictor_, &stager, nullptr); });
   migrator.join();
   runner.join();
+}
+
+// A heat- or pressure-driven drop checks the same pins as a campaign's GC:
+// a replica an undispatched stage still reads stays put under pressure.
+TEST_F(FlowTest, MigrationRefusesToDemotePinnedReplica) {
+  seed_dataset("astro", "ref", Location::kLocalDisk, 1);
+  Campaign campaign("astro");
+  campaign.stage("mse", Workload().open_existing("ref").read_whole("ref", 0));
+  StagingScheduler stager(system_, predictor_);
+  stager.pin_campaign(campaign);
+
+  // Local disk over the watermark: `ref`, its only resident, must demote.
+  runtime::StorageEndpoint& local = system_.endpoint(Location::kLocalDisk);
+  const double capacity = static_cast<double>(local.capacity());
+  const double used = static_cast<double>(local.used());
+  MigrationConfig config;
+  config.pressure_watermark = (used - 1.0) / capacity;
+  config.target_watermark = 0.0;
+  auto tasks = stager.plan_migration(config);
+  ASSERT_TRUE(tasks.ok()) << tasks.status().to_string();
+  ASSERT_EQ(tasks->size(), 1u);
+  EXPECT_EQ(tasks->front().kind, StageTaskKind::kDemote);
+
+  std::vector<StageOutcome> outcomes = stager.execute(*tasks);
+  EXPECT_EQ(outcomes.front().status.code(), ErrorCode::kFailedPrecondition)
+      << outcomes.front().status.to_string();
+  EXPECT_EQ(system_.metrics().counter("flow.gc.refused")->value(), 1u);
+  MetaCatalog catalog(&system_.metadb());
+  auto record = catalog.instance("astro", "ref", 0);
+  ASSERT_TRUE(record.ok());
+  EXPECT_TRUE(record->on(Location::kLocalDisk));
+  simkit::Timeline probe;
+  EXPECT_TRUE(local.size(probe, record->path).ok())
+      << "the pinned replica's payload must stay on disk";
 }
 
 }  // namespace

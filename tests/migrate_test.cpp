@@ -1,6 +1,8 @@
-// The migration subsystem: access tracking, predictor-priced planning,
-// asynchronous execution, replica catalogs and the deferred-unlink safety
-// net that lets readers survive a concurrent demotion.
+// Heat- and pressure-driven migration: access tracking, the mover's
+// predictor-priced migration planner (flow::StagingScheduler::
+// plan_migration) and its execution, replica catalogs and the
+// deferred-unlink safety net that lets readers survive a concurrent
+// demotion.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,8 +11,8 @@
 
 #include "core/placement.h"
 #include "core/session.h"
+#include "flow/stager.h"
 #include "meta/database.h"
-#include "migrate/engine.h"
 #include "obs/report.h"
 #include "predict/ptool.h"
 #include "runtime/plan.h"
@@ -24,6 +26,11 @@ using core::Location;
 using core::MetaCatalog;
 using core::Session;
 using core::StorageSystem;
+using flow::MigrationConfig;
+using flow::StageOutcome;
+using flow::StageTask;
+using flow::StageTaskKind;
+using flow::StagingScheduler;
 using prt::Comm;
 using prt::World;
 
@@ -68,12 +75,6 @@ class MigrateTest : public ::testing::Test {
     return *handle;
   }
 
-  MigrationConfig enabled_config() {
-    MigrationConfig config;
-    config.enabled = true;
-    return config;
-  }
-
   StorageSystem system_;
   predict::PerfDb db_;
   predict::Predictor predictor_;
@@ -113,12 +114,12 @@ TEST_F(MigrateTest, HotTapePromotionReducesReadTime) {
     before_seconds = tl.now();
   }
 
-  MigrationEngine engine(system_, predictor_, enabled_config());
-  auto plan = engine.planner().plan();
+  StagingScheduler stager(system_, predictor_);
+  auto plan = stager.plan_migration({});
   ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->steps.size(), 1u);
-  const MigrationStep& step = plan->steps.front();
-  EXPECT_EQ(step.kind, MigrationKind::kPromote);
+  ASSERT_EQ(plan->size(), 1u);
+  const StageTask& step = plan->front();
+  EXPECT_EQ(step.kind, StageTaskKind::kPromote);
   EXPECT_EQ(step.from, Location::kRemoteTape);
   EXPECT_EQ(step.to, Location::kLocalDisk);
   EXPECT_FALSE(step.drop_source) << "promotion must keep the archive copy";
@@ -132,9 +133,8 @@ TEST_F(MigrateTest, HotTapePromotionReducesReadTime) {
   ASSERT_TRUE(local_price.ok());
   EXPECT_LT(*local_price, *tape_price);
 
-  MigrationReport report = engine.execute(*plan);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.moved_bytes, step.bytes);
+  std::vector<StageOutcome> report = stager.execute(*plan);
+  ASSERT_TRUE(report.front().status.ok()) << report.front().status.to_string();
 
   // The replica set grew; the session now reads the promoted copy faster.
   auto record = session.catalog().instance("astro", "hot", 0);
@@ -147,12 +147,12 @@ TEST_F(MigrateTest, HotTapePromotionReducesReadTime) {
   EXPECT_LT(after.now(), before_seconds);
 
   // Stable state: a second round has nothing left to improve.
-  auto again = engine.planner().plan();
+  auto again = stager.plan_migration({});
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->empty());
 }
 
-// Acceptance: the engine's reported cost is the predictor's price of the
+// Acceptance: the mover's reported cost is the predictor's price of the
 // very same whole-object plans — exact double equality, no slack.
 TEST_F(MigrateTest, EngineCostEqualsPredictorPriceExactly) {
   Session session(system_, {.application = "astro", .nprocs = 1,
@@ -161,8 +161,8 @@ TEST_F(MigrateTest, EngineCostEqualsPredictorPriceExactly) {
   auto record = session.catalog().instance("astro", "ds", 0);
   ASSERT_TRUE(record.ok());
 
-  MigrationStep step;
-  step.kind = MigrationKind::kPromote;
+  StageTask step;
+  step.kind = StageTaskKind::kPromote;
   step.app = "astro";
   step.name = "ds";
   step.timestep = 0;
@@ -170,12 +170,10 @@ TEST_F(MigrateTest, EngineCostEqualsPredictorPriceExactly) {
   step.to = Location::kLocalDisk;
   step.path = record->path;
   step.bytes = record->bytes;
-  MigrationPlan plan;
-  plan.steps.push_back(step);
 
-  MigrationEngine engine(system_, predictor_, enabled_config());
-  MigrationReport report = engine.execute(plan);
-  ASSERT_TRUE(report.ok());
+  StagingScheduler stager(system_, predictor_);
+  std::vector<StageOutcome> report = stager.execute({step});
+  ASSERT_TRUE(report.front().status.ok());
 
   auto read_price = predictor_.price(
       runtime::PlanBuilder::object_read(step.path, step.bytes), step.from.location);
@@ -185,10 +183,10 @@ TEST_F(MigrateTest, EngineCostEqualsPredictorPriceExactly) {
       step.to.location);
   ASSERT_TRUE(read_price.ok());
   ASSERT_TRUE(write_price.ok());
-  EXPECT_EQ(report.outcomes.front().priced_cost, *read_price + *write_price);
-  auto planner_price = engine.planner().price_step(step);
+  EXPECT_EQ(report.front().priced_cost, *read_price + *write_price);
+  auto planner_price = stager.price_task(step);
   ASSERT_TRUE(planner_price.ok());
-  EXPECT_EQ(report.outcomes.front().priced_cost, *planner_price);
+  EXPECT_EQ(report.front().priced_cost, *planner_price);
 }
 
 // --------------------------------------------------- pressure / eviction --
@@ -211,24 +209,23 @@ TEST_F(MigrateTest, PressureDemotesColdestToTape) {
   runtime::StorageEndpoint& local = system_.endpoint(Location::kLocalDisk);
   const double capacity = static_cast<double>(local.capacity());
   const double used = static_cast<double>(local.used());
-  MigrationConfig config = enabled_config();
+  MigrationConfig config;
   config.pressure_watermark = (used - 1.0) / capacity;
   config.target_watermark =
       (used - 0.5 * static_cast<double>(cold->bytes)) / capacity;
 
-  MigrationEngine engine(system_, predictor_, config);
-  auto plan = engine.planner().plan();
+  StagingScheduler stager(system_, predictor_);
+  auto plan = stager.plan_migration(config);
   ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->steps.size(), 1u);
-  const MigrationStep& step = plan->steps.front();
-  EXPECT_EQ(step.kind, MigrationKind::kDemote) << step.label();
+  ASSERT_EQ(plan->size(), 1u);
+  const StageTask& step = plan->front();
+  EXPECT_EQ(step.kind, StageTaskKind::kDemote) << step.label();
   EXPECT_EQ(step.name, "cold") << "coldest resident must go first";
   EXPECT_EQ(step.to, Location::kRemoteTape);
   EXPECT_TRUE(step.drop_source);
 
-  MigrationReport report = engine.execute(*plan);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.dropped_replicas, 1u);
+  std::vector<StageOutcome> report = stager.execute(*plan);
+  ASSERT_TRUE(report.front().status.ok()) << report.front().status.to_string();
   auto record = session.catalog().instance("astro", "cold", 0);
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->replicas, std::vector<core::ReplicaAddress>{Location::kRemoteTape});
@@ -248,8 +245,8 @@ TEST_F(MigrateTest, EvictionNeverDropsLastLiveReplica) {
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record->replicas.size(), 1u);
 
-  MigrationStep step;
-  step.kind = MigrationKind::kEvict;
+  StageTask step;
+  step.kind = StageTaskKind::kEvict;
   step.app = "astro";
   step.name = "solo";
   step.timestep = 0;
@@ -258,13 +255,10 @@ TEST_F(MigrateTest, EvictionNeverDropsLastLiveReplica) {
   step.path = record->path;
   step.bytes = record->bytes;
   step.drop_source = true;
-  MigrationPlan plan;
-  plan.steps.push_back(step);
 
-  MigrationEngine engine(system_, predictor_, enabled_config());
-  MigrationReport report = engine.execute(plan);
-  EXPECT_EQ(report.failures(), 1u);
-  EXPECT_EQ(report.dropped_replicas, 0u);
+  StagingScheduler stager(system_, predictor_);
+  std::vector<StageOutcome> report = stager.execute({step});
+  EXPECT_EQ(report.front().status.code(), ErrorCode::kPermissionDenied);
 
   // Catalog and payload are untouched.
   auto after = session.catalog().instance("astro", "solo", 0);
@@ -280,8 +274,8 @@ TEST_F(MigrateTest, EvictionNeverDropsLastLiveReplica) {
                   .add_replica("astro", "solo", 0, Location::kRemoteDisk)
                   .ok());
   system_.set_location_available(Location::kRemoteDisk, false);
-  report = engine.execute(plan);
-  EXPECT_EQ(report.failures(), 1u);
+  report = stager.execute({step});
+  EXPECT_EQ(report.front().status.code(), ErrorCode::kPermissionDenied);
   system_.set_location_available(Location::kRemoteDisk, true);
 }
 
@@ -294,10 +288,10 @@ TEST_F(MigrateTest, ThrottleStretchesExecutedTime) {
   auto record = session.catalog().instance("astro", "bulk", 0);
   ASSERT_TRUE(record.ok());
 
-  MigrationConfig config = enabled_config();
+  flow::StagingConfig config;
   config.throttle_bytes_per_sec = 1024;  // 16 KiB payload -> >= 16 s floor
-  MigrationStep step;
-  step.kind = MigrationKind::kPromote;
+  StageTask step;
+  step.kind = StageTaskKind::kPromote;
   step.app = "astro";
   step.name = "bulk";
   step.timestep = 0;
@@ -305,13 +299,11 @@ TEST_F(MigrateTest, ThrottleStretchesExecutedTime) {
   step.to = Location::kLocalDisk;
   step.path = record->path;
   step.bytes = record->bytes;
-  MigrationPlan plan;
-  plan.steps.push_back(step);
 
-  MigrationEngine engine(system_, predictor_, config);
-  MigrationReport report = engine.execute(plan);
-  ASSERT_TRUE(report.ok());
-  const MigrationOutcome& outcome = report.outcomes.front();
+  StagingScheduler stager(system_, predictor_, config);
+  std::vector<StageOutcome> report = stager.execute({step});
+  const StageOutcome& outcome = report.front();
+  ASSERT_TRUE(outcome.status.ok());
   const double floor_seconds =
       static_cast<double>(step.bytes) / 1024.0;
   EXPECT_GE(outcome.executed_seconds, floor_seconds);
@@ -326,7 +318,7 @@ TEST_F(MigrateTest, ThrottleStretchesExecutedTime) {
 
 // ------------------------------------- concurrent reader vs demotion race --
 
-// A reader holding an open file session while the engine demotes (and
+// A reader holding an open file session while the mover demotes (and
 // unlinks) the same object must still read valid bytes: the resources defer
 // the physical unlink until the last handle closes. Runs under TSan in CI.
 TEST_F(MigrateTest, ReaderSurvivesConcurrentDemotion) {
@@ -344,8 +336,8 @@ TEST_F(MigrateTest, ReaderSurvivesConcurrentDemotion) {
                                             srb::OpenMode::kRead);
   ASSERT_TRUE(reader.ok());
 
-  MigrationStep step;
-  step.kind = MigrationKind::kDemote;
+  StageTask step;
+  step.kind = StageTaskKind::kDemote;
   step.app = "astro";
   step.name = "racy";
   step.timestep = 0;
@@ -354,19 +346,17 @@ TEST_F(MigrateTest, ReaderSurvivesConcurrentDemotion) {
   step.path = path;
   step.bytes = bytes;
   step.drop_source = true;
-  MigrationPlan plan;
-  plan.steps.push_back(step);
 
-  MigrationEngine engine(system_, predictor_, enabled_config());
+  StagingScheduler stager(system_, predictor_);
   std::vector<std::byte> seen(bytes);
   std::thread reading([&] {
     ASSERT_TRUE(reader->read(std::span<std::byte>(seen).first(bytes / 2)).ok());
     std::this_thread::yield();
     ASSERT_TRUE(reader->read(std::span<std::byte>(seen).subspan(bytes / 2)).ok());
   });
-  MigrationReport report = engine.execute(plan);
+  std::vector<StageOutcome> report = stager.execute({step});
   reading.join();
-  ASSERT_TRUE(report.ok()) << report.outcomes.front().status.to_string();
+  ASSERT_TRUE(report.front().status.ok()) << report.front().status.to_string();
 
   EXPECT_EQ(seen, std::vector<std::byte>(bytes, std::byte{0x2a}));
   auto after = session.catalog().instance("astro", "racy", 0);

@@ -41,7 +41,6 @@
 #include "core/placement.h"
 #include "flow/pricer.h"
 #include "flow/run.h"
-#include "migrate/engine.h"
 #include "obs/report.h"
 #include "predict/advisor.h"
 #include "predict/ptool.h"
@@ -847,11 +846,37 @@ void seed_heat(core::StorageSystem& system, const core::MetaCatalog& catalog,
   }
 }
 
-void columns(Row& r, const migrate::MigrationStep& x) {
+// `migrate` prints the mover's tasks and outcomes in its own columns (`flow`
+// prints the same types its way); these records select them.
+struct Move {
+  flow::StageTask task;
+};
+
+struct MoveOutcome {
+  flow::StageOutcome outcome;
+};
+
+/// One planned round.
+struct MovePlan {
+  std::vector<Move> steps;
+};
+
+/// One executed round.
+struct MoveReport {
+  std::vector<MoveOutcome> outcomes;
+
+  long long failures() const {
+    return std::count_if(outcomes.begin(), outcomes.end(),
+                         [](const auto& o) { return !o.outcome.status.ok(); });
+  }
+};
+
+void columns(Row& r, const Move& move) {
+  const flow::StageTask& x = move.task;
   const std::string from = core::address_name(x.from);
   const std::string to = core::address_name(x.to);
-  const bool evict = x.kind == migrate::MigrationKind::kEvict;
-  r.col("kind", "KIND", -8, str(migrate::migration_kind_name(x.kind)));
+  const bool evict = x.kind == flow::StageTaskKind::kEvict;
+  r.col("kind", "KIND", -8, str(flow::stage_task_kind_name(x.kind)));
   r.col("dataset", "DATASET", -20, str(x.app + "/" + x.name));
   r.col("timestep", "T", 5, integer(x.timestep));
   r.col(nullptr, "MOVE", -26, str(evict ? "drop @" + from : from + " -> " + to));
@@ -863,18 +888,27 @@ void columns(Row& r, const migrate::MigrationStep& x) {
   r.col("cost", "COST", 10, num(x.cost, "%.3fs"));
 }
 
-void columns(Row& r, const migrate::MigrationPlan& x) {
+void columns(Row& r, const MovePlan& x) {
+  std::uint64_t total_bytes = 0;
+  double benefit = 0.0;
+  double cost = 0.0;
+  for (const Move& move : x.steps) {
+    if (move.task.kind != flow::StageTaskKind::kEvict) {
+      total_bytes += move.task.bytes;
+    }
+    benefit += move.task.benefit;
+    cost += move.task.cost;
+  }
   Cell steps = json_array(x.steps);
   steps.text = fmt("%zu step(s),", x.steps.size());
   r.col("steps", "", 0, steps);
-  r.col("total_bytes", "", 0, bytes(x.total_bytes, "%s payload,"));
-  r.col("predicted_benefit", "", 0,
-        num(x.predicted_benefit, "predicted benefit %.3f s,"));
-  r.col("predicted_cost", "", 0,
-        num(x.predicted_cost, "predicted cost %.3f s"));
+  r.col("total_bytes", "", 0, bytes(total_bytes, "%s payload,"));
+  r.col("predicted_benefit", "", 0, num(benefit, "predicted benefit %.3f s,"));
+  r.col("predicted_cost", "", 0, num(cost, "predicted cost %.3f s"));
 }
 
-void columns(Row& r, const migrate::MigrationOutcome& x) {
+void columns(Row& r, const MoveOutcome& move) {
+  const flow::StageOutcome& x = move.outcome;
   std::string detail = x.status.to_string();
   if (x.status.ok()) {
     detail = fmt("priced %8.3fs executed %8.3fs", x.priced_cost,
@@ -884,59 +918,83 @@ void columns(Row& r, const migrate::MigrationOutcome& x) {
     detail += fmt(" (throttled +%.3fs)", x.throttle_wait);
   }
   r.col(nullptr, "", -4, str(x.status.ok() ? "ok" : "FAIL"));
-  r.col(nullptr, "", -52, str(x.step.label()));
+  r.col(nullptr, "", -52, str(x.task.label()));
   r.col(nullptr, "", 0, str(detail));
-  r.col("step", nullptr, 0, {"", render(x.step, Row::kJson)});
+  r.col("step", nullptr, 0, {"", render(Move{x.task}, Row::kJson)});
   r.col("ok", nullptr, 0, flag(x.status.ok()));
   r.col("priced_cost", nullptr, 0, num(x.priced_cost));
   r.col("executed_seconds", nullptr, 0, num(x.executed_seconds));
   r.col("throttle_wait", nullptr, 0, num(x.throttle_wait));
 }
 
-void columns(Row& r, const migrate::MigrationReport& x) {
+void columns(Row& r, const MoveReport& x) {
+  std::uint64_t moved_bytes = 0;
+  long long dropped_replicas = 0;
+  double executed_seconds = 0.0;
+  for (const MoveOutcome& move : x.outcomes) {
+    const flow::StageOutcome& outcome = move.outcome;
+    executed_seconds += outcome.executed_seconds;
+    if (!outcome.status.ok()) continue;
+    if (outcome.task.kind != flow::StageTaskKind::kEvict) {
+      moved_bytes += outcome.task.bytes;
+    }
+    if (outcome.task.drop_source) ++dropped_replicas;
+  }
   r.col("outcomes", nullptr, 0, json_array(x.outcomes));
-  r.col("moved_bytes", "", 0, bytes(x.moved_bytes, "moved %s,"));
+  r.col("moved_bytes", "", 0, bytes(moved_bytes, "moved %s,"));
   r.col("dropped_replicas", "", 0,
-        integer(x.dropped_replicas, "dropped %lld source replica(s),"));
+        integer(dropped_replicas, "dropped %lld source replica(s),"));
   r.col("executed_seconds", "", 0,
-        num(x.executed_seconds, "executed %.3f simulated s,"));
+        num(executed_seconds, "executed %.3f simulated s,"));
   r.col("failures", "", 0, integer(x.failures(), "%lld failure(s)"));
 }
 
 int cmd_migrate(Env& env, const Args& args, Out& out,
                 const std::string& verb) {
   seed_heat(*env.system, core::MetaCatalog(&env.system->metadb()), args);
-  migrate::MigrationConfig config;
-  config.enabled = true;  // the CLI *is* the explicit opt-in
-  config.throttle_bytes_per_sec = args.get_mb("throttle-mb", 0, 0);
+  flow::StagingConfig staging;
+  staging.throttle_bytes_per_sec = args.get_mb("throttle-mb", 0, 0);
+  flow::MigrationConfig config;
   config.max_batch_bytes = args.get_mb("batch-mb", 0, 0);
   config.hot_reads = args.get_int("hot-reads", 2, 0);
   config.pressure_watermark =
       args.get_double("pressure", config.pressure_watermark);
   config.target_watermark = args.get_double("target", config.target_watermark);
-  migrate::MigrationEngine engine(*env.system, env.predictor, config);
+  flow::StagingScheduler stager(*env.system, env.predictor, staging);
   if (verb == "plan") {
-    auto plan = die_on_error(engine.planner().plan(),
-                             "migration planning (run `msractl ptool` first?)");
+    MovePlan plan;
+    for (flow::StageTask& task :
+         die_on_error(stager.plan_migration(config),
+                      "migration planning (run `msractl ptool` first?)")) {
+      plan.steps.push_back({std::move(task)});
+    }
     out.rows(plan.steps);
     out.record(plan);
     return 0;
   }
+  // One round: plan, then execute the plan through the mover.
+  auto run_once = [&] {
+    MoveReport report;
+    for (flow::StageOutcome& outcome : stager.execute(
+             die_on_error(stager.plan_migration(config),
+                          "migration (run `msractl ptool` first?)"))) {
+      report.outcomes.push_back({std::move(outcome)});
+    }
+    return report;
+  };
   if (verb == "run") {
-    auto report = die_on_error(engine.run_once(),
-                               "migration (run `msractl ptool` first?)");
+    MoveReport report = run_once();
     out.rows(report.outcomes, "  ");
     out.record(report);
-    return report.ok() ? 0 : 1;
+    return report.failures() == 0 ? 0 : 1;
   }
   // watch: run rounds until the planner finds nothing more to do.
   const int rounds = args.get_int("rounds", 10);
-  std::vector<migrate::MigrationReport> reports;
-  std::size_t failures = 0;
+  std::vector<MoveReport> reports;
+  long long failures = 0;
   for (int round = 1; round <= rounds; ++round) {
-    reports.push_back(die_on_error(engine.run_once(),
-                                   "migration (run `msractl ptool` first?)"));
-    const migrate::MigrationReport& report = reports.back();
+    reports.push_back(run_once());
+    const MoveReport& report = reports.back();
     failures += report.failures();
     if (report.outcomes.empty()) {
       out.print("round %d: catalog stable, nothing to migrate\n", round);
@@ -1071,7 +1129,7 @@ int cmd_flow(Env& env, const Args& args, Out& out, const std::string& verb) {
   flow::Campaign campaign = flow_campaign(args, system);
   flow::StagingConfig staging;
   staging.throttle_bytes_per_sec = args.get_mb("throttle-mb", 0, 0);
-  flow::StagingScheduler stager(system, &env.predictor, staging);
+  flow::StagingScheduler stager(system, env.predictor, staging);
   // A persisted QoS policy with admission enabled also gates staging moves:
   // the mover defers when a move's quote would miss its class SLO.
   std::unique_ptr<qos::AdmissionController> admission;
