@@ -33,11 +33,18 @@ constexpr double kMinWeight = 1e-9;
 /// DISPATCH order, which is not arrival order — a fleet actor deep in a
 /// long slice books far in the virtual future before the next actor books
 /// at its (earlier) clock. A monotonic fluid clock would charge such
-/// early-ready grants the whole offset, so instead every grant re-runs the
+/// early-ready grants the whole offset, so instead every grant replays the
 /// trajectory over all arrivals sorted by ready time: the GPS analogue of
 /// the FIFO path's gap-filling interval schedules. Completions stay frozen
-/// once returned (later arrivals never rewrite an earlier quote), and the
-/// replay is O(arrivals * classes) per grant, fine at bench scale.
+/// once returned (later arrivals never rewrite an earlier quote).
+///
+/// The replay resumes from a checkpoint rather than t = 0. A checkpoint is
+/// the replay state at the top of an iteration, saved once every
+/// kCheckpointEvery folded arrivals. An iteration reads only the arrivals
+/// at or below its post-fold cursor, so after an arrival is inserted at
+/// sorted index p every checkpoint with `next < p` still lies on the new
+/// trajectory. A grant drops the others and resumes from the last
+/// survivor: it costs the arrivals from about p on, not the whole history.
 class WfqDiscipline final : public QueueDiscipline {
  public:
   explicit WfqDiscipline(int capacity)
@@ -58,7 +65,11 @@ class WfqDiscipline final : public QueueDiscipline {
     };
     const auto pos =
         std::upper_bound(arrivals_.begin(), arrivals_.end(), arrival, before);
+    const auto index = static_cast<std::size_t>(pos - arrivals_.begin());
     arrivals_.insert(pos, arrival);
+    while (!checkpoints_.empty() && checkpoints_.back().next >= index) {
+      checkpoints_.pop_back();
+    }
 
     QosGrant out;
     out.completion = std::max(replay(arrival.seq, tag.class_id, &out.backlog),
@@ -68,10 +79,13 @@ class WfqDiscipline final : public QueueDiscipline {
 
   void reset() override {
     arrivals_.clear();
+    checkpoints_.clear();
     next_seq_ = 0;
   }
 
  private:
+  static constexpr std::size_t kCheckpointEvery = 16;
+
   struct Arrival {
     SimTime ready = 0.0;
     std::uint64_t seq = 0;
@@ -81,32 +95,53 @@ class WfqDiscipline final : public QueueDiscipline {
   };
 
   struct ClassSim {
+    int id = 0;
     double weight = 1.0;
     SimTime backlog = 0.0;  ///< arrived but undrained service seconds
   };
 
-  /// Replays the fluid trajectory over `arrivals_` (already sorted by
-  /// ready) and returns the instant request `seq` finishes. FIFO within the
-  /// class means the request's remaining work is the class backlog at the
-  /// moment it joins (everything queued ahead of it plus itself); later
-  /// same-class arrivals grow the backlog but sit behind it, so `remaining`
-  /// shrinks by exactly what the class drains and stays <= the backlog —
-  /// the crossing check below therefore fires no later than the step that
-  /// empties the class, immune to float residue. Also reports that join
-  /// backlog.
-  SimTime replay(std::uint64_t seq, int class_id,
-                 SimTime* backlog_at_arrival) const {
-    std::map<int, ClassSim> sim;
+  /// The replay state at the top of an iteration.
+  struct Checkpoint {
     SimTime now = 0.0;
-    std::size_t next = 0;
+    std::size_t next = 0;           ///< arrivals_[0, next) are folded in
+    std::vector<ClassSim> classes;  ///< sorted by id: sums run in id order
+  };
+
+  static ClassSim& find_class(std::vector<ClassSim>& classes, int id) {
+    const auto it = std::lower_bound(
+        classes.begin(), classes.end(), id,
+        [](const ClassSim& cs, int key) { return cs.id < key; });
+    if (it != classes.end() && it->id == id) return *it;
+    return *classes.insert(it, ClassSim{id, 1.0, 0.0});
+  }
+
+  /// Replays the fluid trajectory over `arrivals_` (already sorted by
+  /// ready) from the last checkpoint and returns the instant request `seq`
+  /// finishes. FIFO within the class means the request's remaining work is
+  /// the class backlog at the moment it joins (everything queued ahead of
+  /// it plus itself); later same-class arrivals grow the backlog but sit
+  /// behind it, so `remaining` shrinks by exactly what the class drains
+  /// and stays <= the backlog — the crossing check below therefore fires
+  /// no later than the step that empties the class, immune to float
+  /// residue. Also reports that join backlog.
+  SimTime replay(std::uint64_t seq, int class_id,
+                 SimTime* backlog_at_arrival) {
+    Checkpoint state =
+        checkpoints_.empty() ? Checkpoint{} : checkpoints_.back();
+    SimTime& now = state.now;
+    std::size_t& next = state.next;
+    std::vector<ClassSim>& sim = state.classes;
     bool joined = false;
     SimTime remaining = 0.0;  ///< request seq's undrained FIFO prefix
     *backlog_at_arrival = 0.0;
     while (true) {
+      const std::size_t saved =
+          checkpoints_.empty() ? 0 : checkpoints_.back().next;
+      if (next >= saved + kCheckpointEvery) checkpoints_.push_back(state);
       // Fold in every arrival at or before `now`.
       while (next < arrivals_.size() && arrivals_[next].ready <= now) {
         const Arrival& a = arrivals_[next];
-        ClassSim& cs = sim[a.class_id];
+        ClassSim& cs = find_class(sim, a.class_id);
         cs.weight = a.weight;
         cs.backlog += a.service;
         if (a.seq == seq) {
@@ -117,7 +152,7 @@ class WfqDiscipline final : public QueueDiscipline {
         ++next;
       }
       double total_weight = 0.0;
-      for (const auto& [id, cs] : sim) {
+      for (const ClassSim& cs : sim) {
         if (cs.backlog > 0.0) total_weight += cs.weight;
       }
       if (total_weight <= 0.0) {
@@ -132,22 +167,22 @@ class WfqDiscipline final : public QueueDiscipline {
       if (next < arrivals_.size()) {
         step = std::max(0.0, arrivals_[next].ready - now);
       }
-      for (const auto& [id, cs] : sim) {
+      for (const ClassSim& cs : sim) {
         if (cs.backlog <= 0.0) continue;
         const double rate = capacity_ * cs.weight / total_weight;
         step = std::min(step, cs.backlog / rate);
       }
       if (joined) {
         const double rate =
-            capacity_ * sim[class_id].weight / total_weight;
+            capacity_ * find_class(sim, class_id).weight / total_weight;
         if (remaining <= rate * step) return now + remaining / rate;
       }
-      for (auto& [id, cs] : sim) {
+      for (ClassSim& cs : sim) {
         if (cs.backlog <= 0.0) continue;
         const double rate = capacity_ * cs.weight / total_weight;
         const SimTime drain = std::min(cs.backlog, rate * step);
         cs.backlog -= drain;
-        if (id == class_id) remaining -= drain;
+        if (cs.id == class_id) remaining -= drain;
       }
       now += step;
     }
@@ -155,6 +190,7 @@ class WfqDiscipline final : public QueueDiscipline {
 
   double capacity_;
   std::vector<Arrival> arrivals_;  ///< sorted by (ready, seq)
+  std::vector<Checkpoint> checkpoints_;  ///< strictly ascending next
   std::uint64_t next_seq_ = 0;
 };
 

@@ -6,7 +6,8 @@
 // model natively (earliest gap wins). WFQ and EDF do not: both reorder a
 // queue that, in a booking model, never materializes. The disciplines here
 // therefore approximate the schedulers with an event-driven *fluid* model,
-// advanced lazily at each grant:
+// replayed at each grant over the arrivals sorted by ready time (wfq
+// resumes from a checkpoint before the new arrival, edf from t = 0):
 //
 //   * wfq — per-class backlogs drain concurrently, each class at rate
 //     capacity * w_c / sum(w_active) (GPS, the fluid limit of weighted
@@ -30,7 +31,6 @@
 // no locks of their own.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string_view>
 #include <vector>

@@ -15,16 +15,25 @@ Resource::~Resource() = default;
 
 SimTime Resource::earliest_start(const Schedule& schedule, SimTime ready,
                                  SimTime service) {
+  // An interval that ends by `ready` can neither hold the start back nor
+  // leave a gap after `ready`, so the scan begins past all of them.
   SimTime start = ready;
-  for (const Interval& interval : schedule) {
-    if (start + service <= interval.start) break;  // fits in the gap before
-    start = std::max(start, interval.end);
+  for (auto it = std::partition_point(
+           schedule.begin(), schedule.end(),
+           [ready](const Interval& interval) { return interval.end <= ready; });
+       it != schedule.end(); ++it) {
+    if (start + service <= it->start) break;  // fits in the gap before
+    start = std::max(start, it->end);
   }
   return start;
 }
 
 void Resource::insert(Schedule& schedule, SimTime start, SimTime service) {
   const SimTime end = start + service;
+  // A service that rounds away at `start` occupies nothing; an interval
+  // [start, start] could land after a later one with the same start and
+  // break the ordering of the ends that earliest_start searches.
+  if (end == start) return;
   auto it = std::lower_bound(
       schedule.begin(), schedule.end(), start,
       [](const Interval& interval, SimTime t) { return interval.start < t; });

@@ -145,7 +145,9 @@ class Resource {
     SimTime end;
   };
   /// Sorted, non-overlapping busy intervals of one server (touching
-  /// intervals are merged, so dense workloads stay O(1)).
+  /// intervals are merged, so dense workloads stay O(1)). Every interval
+  /// has positive width, so the ends ascend too and earliest_start
+  /// binary-searches past the intervals that end by `ready`.
   using Schedule = std::vector<Interval>;
 
   /// Earliest feasible start on one server.

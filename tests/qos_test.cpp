@@ -13,6 +13,11 @@
 // is written for the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +203,155 @@ TEST(DisciplineTest, DeadlineMissesAreCountedUnderFifo) {
   (void)pipe.reserve(0.0, 5.0, deadline);       // finishes at 5, deadline 1
   (void)pipe.reserve(0.0, 0.5, deadline);       // queued to 5.5, deadline 1
   EXPECT_EQ(pipe.class_stats().at(0).deadline_misses, 2u);
+}
+
+// The WFQ fluid replay without checkpoints: every grant replays every
+// arrival from t = 0. The reference the checkpointed replay must match
+// bit for bit.
+class FullReplayWfq {
+ public:
+  explicit FullReplayWfq(int capacity)
+      : capacity_(static_cast<double>(capacity)) {}
+
+  simkit::QosGrant grant(SimTime ready, SimTime service, const QosTag& tag) {
+    Arrival arrival{ready, next_seq_++, service, tag.class_id,
+                    std::max(tag.weight, 1e-9)};
+    const auto pos = std::upper_bound(
+        arrivals_.begin(), arrivals_.end(), arrival,
+        [](const Arrival& a, const Arrival& b) {
+          if (a.ready != b.ready) return a.ready < b.ready;
+          return a.seq < b.seq;
+        });
+    arrivals_.insert(pos, arrival);
+    simkit::QosGrant out;
+    out.completion = std::max(replay(arrival.seq, tag.class_id, &out.backlog),
+                              ready + service);
+    return out;
+  }
+
+ private:
+  struct Arrival {
+    SimTime ready;
+    std::uint64_t seq;
+    SimTime service;
+    int class_id;
+    double weight;
+  };
+  struct ClassSim {
+    double weight = 1.0;
+    SimTime backlog = 0.0;
+  };
+
+  SimTime replay(std::uint64_t seq, int class_id, SimTime* backlog_at_arrival) {
+    std::map<int, ClassSim> sim;
+    SimTime now = 0.0;
+    std::size_t next = 0;
+    bool joined = false;
+    SimTime remaining = 0.0;
+    *backlog_at_arrival = 0.0;
+    while (true) {
+      while (next < arrivals_.size() && arrivals_[next].ready <= now) {
+        const Arrival& a = arrivals_[next];
+        ClassSim& cs = sim[a.class_id];
+        cs.weight = a.weight;
+        cs.backlog += a.service;
+        if (a.seq == seq) {
+          joined = true;
+          remaining = cs.backlog;
+          *backlog_at_arrival = cs.backlog;
+        }
+        ++next;
+      }
+      double total_weight = 0.0;
+      for (const auto& [id, cs] : sim) {
+        if (cs.backlog > 0.0) total_weight += cs.weight;
+      }
+      if (total_weight <= 0.0) {
+        if (next >= arrivals_.size()) return now;
+        now = std::max(now, arrivals_[next].ready);
+        continue;
+      }
+      SimTime step = std::numeric_limits<SimTime>::infinity();
+      if (next < arrivals_.size()) {
+        step = std::max(0.0, arrivals_[next].ready - now);
+      }
+      for (const auto& [id, cs] : sim) {
+        if (cs.backlog <= 0.0) continue;
+        const double rate = capacity_ * cs.weight / total_weight;
+        step = std::min(step, cs.backlog / rate);
+      }
+      if (joined) {
+        const double rate = capacity_ * sim[class_id].weight / total_weight;
+        if (remaining <= rate * step) return now + remaining / rate;
+      }
+      for (auto& [id, cs] : sim) {
+        if (cs.backlog <= 0.0) continue;
+        const double rate = capacity_ * cs.weight / total_weight;
+        const SimTime drain = std::min(cs.backlog, rate * step);
+        cs.backlog -= drain;
+        if (id == class_id) remaining -= drain;
+      }
+      now += step;
+    }
+  }
+
+  double capacity_;
+  std::vector<Arrival> arrivals_;
+  std::uint64_t next_seq_ = 0;
+};
+
+// The checkpointed replay must return what the full replay returns, bit
+// for bit, on every grant of seeded streams whose readies sit at the
+// frontier, are back-dated, tie exactly, or land anywhere in the history;
+// whose services go down to 1e-12; and whose class weights occasionally
+// drop to 0. One discipline per capacity serves every stream, so reset()
+// must drop its checkpoints too.
+TEST(DisciplineTest, WfqCheckpointedReplayMatchesFullReplay) {
+  std::mt19937_64 rng(15);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  const double weights[] = {8.0, 2.0, 1.0};
+  std::uint64_t grants = 0;
+  for (const int capacity : {1, 4}) {
+    const auto checkpointed =
+        simkit::make_discipline(DisciplineKind::kWfq, capacity);
+    for (int stream = 0; stream < 60; ++stream) {
+      checkpointed->reset();
+      FullReplayWfq reference(capacity);
+      const int length = 50 + static_cast<int>(unit() * 400);
+      SimTime frontier = 0.0;
+      SimTime last_ready = 0.0;
+      for (int i = 0; i < length; ++i) {
+        frontier += unit() * 1.2 / capacity;
+        SimTime ready = frontier;
+        const double mode = unit();
+        if (mode < 0.3) {
+          ready = std::max(0.0, frontier - unit() * 1.2);  // back-dated
+        } else if (mode < 0.4) {
+          ready = last_ready;  // exact tie
+        } else if (mode < 0.5) {
+          ready = unit() * frontier;  // deep out of order
+        }
+        last_ready = ready;
+        SimTime service = unit();
+        if (unit() < 0.1) service = std::pow(10.0, -12.0 * unit());
+        const int class_id = static_cast<int>(unit() * 3);
+        const double weight = unit() < 0.02 ? 0.0 : weights[class_id];
+        const QosTag tag{class_id, weight, 0.0};
+        const simkit::QosGrant want = reference.grant(ready, service, tag);
+        const simkit::QosGrant got = checkpointed->grant(ready, service, tag);
+        ASSERT_EQ(got.completion, want.completion)
+            << "capacity " << capacity << " stream " << stream
+            << " grant " << i;
+        ASSERT_EQ(got.backlog, want.backlog)
+            << "capacity " << capacity << " stream " << stream
+            << " grant " << i;
+        ++grants;
+      }
+    }
+  }
+  EXPECT_GT(grants, 20000u);
 }
 
 // ------------------------------------------------- system integration --

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simkit/noise.h"
@@ -208,6 +212,147 @@ TEST(ResourceTest, ZeroServiceCostsNothingAndBlocksNothing) {
   EXPECT_DOUBLE_EQ(disk.reserve(3.0, 0.0), 3.0);
   EXPECT_DOUBLE_EQ(disk.busy_time(), 0.0);
   EXPECT_DOUBLE_EQ(disk.acquire(tl, 5.0), 8.0);
+}
+
+// A positive service that rounds away at its start occupies nothing. Were
+// it stored as [t, t], a later booking with the same start could be placed
+// in front of it, and the interval ends would stop ascending: the bookings
+// below would leave [0,1e-300] [2,2] [3,6] [3,3] [10,11] [20,21], on which
+// the gap search skips [3,6] and starts the last booking at 4.
+TEST(ResourceTest, ZeroWidthBookingKeepsScheduleSorted) {
+  Resource disk("disk");
+  EXPECT_EQ(disk.reserve(0.0, 1e-300), 1e-300);
+  EXPECT_EQ(disk.reserve(3.0, 1e-300), 3.0);
+  EXPECT_EQ(disk.reserve(2.0, 1e-300), 2.0);
+  EXPECT_EQ(disk.reserve(3.0, 1e-300), 3.0);
+  EXPECT_EQ(disk.reserve(3.0, 3.0), 6.0);
+  EXPECT_EQ(disk.reserve(10.0, 1.0), 11.0);
+  EXPECT_EQ(disk.reserve(20.0, 1.0), 21.0);
+  EXPECT_EQ(disk.reserve(4.0, 1.0), 7.0);
+}
+
+/// Uniform in [0, 1) from the top 53 bits, the same on every platform.
+double unit_draw(std::mt19937_64& rng) {
+  return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+}
+
+// FIFO booking that scans every server's intervals from the first one:
+// the reference the binary-searched gap scan must match bit for bit.
+// Touching intervals merge and services that round away at their start
+// store nothing, as in Resource.
+class LinearScanBooking {
+ public:
+  explicit LinearScanBooking(int capacity)
+      : servers_(static_cast<std::size_t>(capacity)) {}
+
+  SimTime reserve(SimTime ready, SimTime service) {
+    if (service <= 0.0) return ready;
+    std::size_t best = 0;
+    SimTime best_start = 0.0;
+    for (std::size_t s = 0; s < servers_.size(); ++s) {
+      SimTime start = ready;
+      for (const auto& [busy_from, busy_to] : servers_[s]) {
+        if (start + service <= busy_from) break;
+        start = std::max(start, busy_to);
+      }
+      if (s == 0 || start < best_start) {
+        best = s;
+        best_start = start;
+      }
+    }
+    const SimTime end = best_start + service;
+    if (end == best_start) return end;
+    auto& schedule = servers_[best];
+    auto it = schedule.insert(
+        std::upper_bound(schedule.begin(), schedule.end(),
+                         std::make_pair(best_start, end)),
+        std::make_pair(best_start, end));
+    if (std::next(it) != schedule.end() && std::next(it)->first == end) {
+      it->second = std::next(it)->second;
+      schedule.erase(std::next(it));
+    }
+    if (it != schedule.begin() && std::prev(it)->second == best_start) {
+      std::prev(it)->second = it->second;
+      schedule.erase(it);
+    }
+    return end;
+  }
+
+ private:
+  std::vector<std::vector<std::pair<SimTime, SimTime>>> servers_;
+};
+
+// Seeded streams of readies at the frontier, back-dated, tied or anywhere
+// in the history, with services from 1e-300 (rounds away) to a few
+// seconds, on 1, 2 and 4 servers.
+TEST(ResourceTest, FifoGapSearchMatchesLinearScan) {
+  std::mt19937_64 rng(15);
+  std::uint64_t bookings = 0;
+  for (const int capacity : {1, 2, 4}) {
+    for (int stream = 0; stream < 40; ++stream) {
+      Resource resource("r", capacity);
+      LinearScanBooking reference(capacity);
+      const int length = 100 + static_cast<int>(unit_draw(rng) * 1400);
+      SimTime frontier = 0.0;
+      SimTime last_ready = 0.0;
+      for (int i = 0; i < length; ++i) {
+        frontier += unit_draw(rng) * 2.0 / capacity;
+        SimTime ready = frontier;
+        const double mode = unit_draw(rng);
+        if (mode < 0.3) {
+          ready = std::max(0.0, frontier - unit_draw(rng) * 1.2);  // back-dated
+        } else if (mode < 0.4) {
+          ready = last_ready;  // exact tie
+        } else if (mode < 0.5) {
+          ready = unit_draw(rng) * frontier;  // deep out of order
+        }
+        last_ready = ready;
+        SimTime service = unit_draw(rng);
+        const double size = unit_draw(rng);
+        if (size < 0.05) {
+          service = 1e-300;
+        } else if (size < 0.15) {
+          service = std::pow(10.0, -12.0 * unit_draw(rng));
+        }
+        ASSERT_EQ(resource.reserve(ready, service),
+                  reference.reserve(ready, service))
+            << "capacity " << capacity << " stream " << stream
+            << " booking " << i;
+        ++bookings;
+      }
+    }
+  }
+  EXPECT_GT(bookings, 50000u);
+}
+
+// Booking cost follows the part of history a new booking can change, not
+// all of it. 100k FIFO bookings each leave an idle gap, so nothing merges;
+// 20k three-class WFQ grants arrive up to 1.2 s behind dispatch order. A
+// scan or replay from the start of history needs tens of seconds for this
+// in an optimized build; the bound leaves room for sanitizer builds.
+TEST(ResourceTest, BookingCostStaysNearLinearInHistory) {
+  const auto began = std::chrono::steady_clock::now();
+  Resource disk("disk");
+  SimTime last = 0.0;
+  for (int i = 0; i < 100000; ++i) last = disk.reserve(2.0 * i, 1.0);
+  EXPECT_EQ(last, 199999.0);
+  EXPECT_EQ(disk.queue_stats().total_wait, 0.0);
+
+  Resource pipe("pipe");
+  pipe.set_discipline(DisciplineKind::kWfq);
+  const QosTag classes[] = {{0, 8.0, 0.0}, {1, 2.0, 0.0}, {2, 1.0, 0.0}};
+  std::mt19937_64 rng(15);
+  SimTime frontier = 0.0;
+  for (int i = 0; i < 20000; ++i) {
+    frontier += 0.01;
+    const SimTime ready = std::max(0.0, frontier - 1.2 * unit_draw(rng));
+    (void)pipe.reserve(ready, 0.016 * unit_draw(rng) + 1e-4, classes[i % 3]);
+  }
+  EXPECT_EQ(pipe.operations(), 20000u);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - began)
+                             .count();
+  EXPECT_LT(seconds, 10.0);
 }
 
 TEST(TransferTimeTest, ZeroBandwidthIsInstant) {
