@@ -148,7 +148,7 @@ RunResult run_hint() {
   seed_ref(bed.system);
 
   flow::StagingScheduler stager(bed.system, bed.predictor);
-  core::MetaCatalog catalog(&bed.system.metadb());
+  const core::MetaCatalog& catalog = bed.system.catalog();
   std::vector<flow::StageTask> tasks;
   for (int t = 0; t < kRefTimesteps; ++t) {
     const core::InstanceRecord instance =

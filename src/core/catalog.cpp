@@ -158,19 +158,25 @@ MetaCatalog::MetaCatalog(meta::Database* db) : db_(db) {
   applications_ = *applications;
   datasets_ = *datasets;
   instances_ = *instances;
-  if (users_->size() == 0) {
-    (void)users_->create_unique_index("name");
-    (void)applications_->create_unique_index("name");
-    (void)datasets_->create_unique_index("key");
-  }
+  // Declared on every open (create_index is idempotent): unique indexes
+  // persist with the table, the by-name and by-dataset ones are rebuilt
+  // here after a load.
+  (void)users_->create_unique_index("name");
+  (void)applications_->create_unique_index("name");
+  (void)datasets_->create_unique_index("key");
+  (void)datasets_->create_index("name");
+  (void)instances_->create_index("dataset_key");
   meta::Table* meta_table = *catalog_meta;
-  if (meta_table->size() == 0) (void)meta_table->create_unique_index("key");
+  (void)meta_table->create_unique_index("key");
+  // Written only when it differs, so opening a current catalog writes
+  // nothing.
+  const Value fmt_value{std::to_string(kInstanceFormat)};
   auto fmt = meta_table->lookup("key", Value{std::string("instances_format")});
-  const std::string fmt_value = std::to_string(kInstanceFormat);
-  if (fmt.ok()) {
-    (void)meta_table->update_cell(*fmt, "value", Value{fmt_value});
-  } else {
+  if (!fmt.ok()) {
     (void)meta_table->insert(Row{std::string("instances_format"), fmt_value});
+  } else if (auto row = meta_table->get(*fmt);
+             !row.ok() || !meta::value_equals((*row)[1], fmt_value)) {
+    (void)meta_table->update_cell(*fmt, "value", fmt_value);
   }
 }
 
@@ -269,9 +275,9 @@ StatusOr<DatasetRecord> MetaCatalog::dataset(const std::string& app,
 }
 
 StatusOr<DatasetRecord> MetaCatalog::find_dataset(const std::string& name) const {
-  auto ids = datasets_->find_eq("name", Value{name});
-  if (ids.empty()) return Status::NotFound("no dataset named " + name);
-  MSRA_ASSIGN_OR_RETURN(Row row, datasets_->get(ids.front()));
+  auto rowid = datasets_->lookup("name", Value{name});
+  if (!rowid.ok()) return Status::NotFound("no dataset named " + name);
+  MSRA_ASSIGN_OR_RETURN(Row row, datasets_->get(*rowid));
   return record_from_row(row);
 }
 
@@ -306,9 +312,8 @@ Status MetaCatalog::update_dataset_location(const std::string& app,
 
 std::vector<std::int64_t> MetaCatalog::instance_rowids(const std::string& key,
                                                        int timestep) const {
-  return instances_->find([&](const Row& r) {
-    return std::get<std::string>(r[0]) == key &&
-           std::get<std::int64_t>(r[1]) == timestep;
+  return instances_->find_eq("dataset_key", Value{key}, [timestep](const Row& r) {
+    return std::get<std::int64_t>(r[1]) == timestep;
   });
 }
 
@@ -379,12 +384,11 @@ Status MetaCatalog::remove_replica(const std::string& app, const std::string& na
 
 std::vector<InstanceRecord> MetaCatalog::instances(const std::string& app,
                                                    const std::string& name) const {
-  const std::string key = dataset_key(app, name);
   std::vector<InstanceRecord> out;
-  for (const Row& row : instances_->select([&](const Row& r) {
-         return std::get<std::string>(r[0]) == key;
-       })) {
-    out.push_back(instance_from_row(row));
+  for (std::int64_t rowid :
+       instances_->find_eq("dataset_key", Value{dataset_key(app, name)})) {
+    auto row = instances_->get(rowid);
+    if (row.ok()) out.push_back(instance_from_row(*row));
   }
   return out;
 }

@@ -54,9 +54,11 @@ class MetaCatalog {
   /// place when an old catalog is opened; see the constructor.
   static constexpr int kInstanceFormat = 2;
 
-  /// Creates/opens the schema inside `db` (not owned). Old-format catalogs
-  /// are migrated to the current format on open, so a database written by
-  /// any earlier build keeps loading.
+  /// Creates/opens the schema inside `db` (not owned) and declares its
+  /// lookup indexes. Old-format catalogs are migrated to the current
+  /// format on open, so a database written by any earlier build keeps
+  /// loading; opening a current catalog writes nothing. A StorageSystem
+  /// owns the one catalog over its metadb (StorageSystem::catalog()).
   explicit MetaCatalog(meta::Database* db);
 
   // -- applications & users ------------------------------------------------

@@ -17,7 +17,7 @@ namespace msra::core {
 // ---------------------------------------------------------------- Session --
 
 Session::Session(StorageSystem& system, SessionOptions options)
-    : system_(system), options_(std::move(options)), catalog_(&system.metadb()) {
+    : system_(system), options_(std::move(options)), catalog_(system.catalog()) {
   Status user_status = catalog_.register_user(options_.user, options_.affiliation);
   Status app_status = catalog_.register_application(
       options_.application, options_.user, options_.nprocs, options_.iterations);

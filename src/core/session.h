@@ -294,7 +294,7 @@ class Session {
 
   StorageSystem& system_;
   SessionOptions options_;
-  MetaCatalog catalog_;
+  MetaCatalog& catalog_;  ///< system_.catalog()
   simkit::Timeline timeline_;
   mutable std::mutex mutex_;  ///< guards handles_ and finalized_
   std::map<std::string, std::unique_ptr<DatasetHandle>> handles_;

@@ -8,6 +8,7 @@
 
 #include "cache/cache.h"
 #include "core/balancer.h"
+#include "core/catalog.h"
 #include "runtime/factory.h"
 
 namespace msra::core {
@@ -99,6 +100,7 @@ StorageSystem::StorageSystem(const HardwareProfile& profile,
     local_store_ = std::make_unique<store::MemObjectStore>();
     metadb_ = std::make_unique<meta::Database>();
   }
+  catalog_ = std::make_unique<MetaCatalog>(metadb_.get());
   local_resource_ = std::make_unique<srb::DiskResource>(
       "localdisk", srb::StorageKind::kLocalDisk, local_store_.get(),
       profile.local_disk, profile.local_capacity, profile.local_disk_arms);

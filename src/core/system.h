@@ -44,6 +44,7 @@ class Predictor;
 namespace msra::core {
 
 class Balancer;
+class MetaCatalog;
 
 /// Storage location attribute of a dataset (section 3.2 of the paper).
 enum class Location {
@@ -220,6 +221,12 @@ class StorageSystem {
   /// The local metadata database (the paper's Postgres).
   meta::Database& metadb() { return *metadb_; }
 
+  /// The one dataset/instance catalog over metadb(), opened (and its
+  /// indexes declared) at construction. Every session, admission quote,
+  /// campaign price and mover reads through it.
+  MetaCatalog& catalog() { return *catalog_; }
+  const MetaCatalog& catalog() const { return *catalog_; }
+
   /// Persists the metadata database (no-op without a data root).
   Status save_metadata() const;
 
@@ -258,6 +265,7 @@ class StorageSystem {
   HardwareProfile profile_;
   std::filesystem::path data_root_;
   std::unique_ptr<meta::Database> metadb_;
+  std::unique_ptr<MetaCatalog> catalog_;
 
   // Observability. Declared before the endpoint layer so instrumented
   // endpoints can bind to the registry during construction.

@@ -28,7 +28,7 @@ StatusOr<CampaignPrice> CampaignPricer::price(const Campaign& campaign,
                                               StagingScheduler* stager) const {
   MSRA_ASSIGN_OR_RETURN(std::vector<std::vector<std::size_t>> producers,
                         campaign.producers());
-  core::MetaCatalog catalog(&system_.metadb());
+  const core::MetaCatalog& catalog = system_.catalog();
 
   // Where staging WILL put each external input: the prestage plan over the
   // current catalog (nothing dispatched), keyed by (dataset, timestep).

@@ -110,7 +110,7 @@ StagingScheduler::StagingScheduler(core::StorageSystem& system,
     : system_(system),
       predictor_(predictor),
       config_(config),
-      catalog_(&system.metadb()) {}
+      catalog_(system.catalog()) {}
 
 StatusOr<double> StagingScheduler::price_task(const StageTask& task) const {
   if (copyless(task.kind)) return 0.0;  // metadata-only

@@ -229,7 +229,7 @@ class StagingScheduler {
   core::StorageSystem& system_;
   const predict::Predictor& predictor_;
   StagingConfig config_;
-  core::MetaCatalog catalog_;
+  core::MetaCatalog& catalog_;  ///< system_.catalog()
   std::mutex catalog_mutex_;  ///< serializes read-modify-write commits
   const qos::AdmissionController* admission_ = nullptr;
 

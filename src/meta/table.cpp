@@ -1,6 +1,8 @@
 #include "meta/table.h"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
+#include <cmath>
 
 namespace msra::meta {
 
@@ -9,36 +11,59 @@ std::size_t Table::size() const {
   return rows_.size();
 }
 
-std::string Table::index_key(const Value& value) {
-  // Single-char prefix built via append (not `"x" + s`): the operator+
-  // form trips a GCC 12 -Wrestrict false positive when inlined at -O3.
+std::size_t Table::hash_of(const Value& value) {
   struct Visitor {
-    std::string operator()(std::monostate) const { return std::string(); }
-    std::string operator()(std::int64_t v) const { return tagged('i', std::to_string(v)); }
-    std::string operator()(double v) const { return tagged('r', std::to_string(v)); }
-    std::string operator()(const std::string& v) const { return tagged('t', v); }
-    std::string operator()(const std::vector<std::byte>& v) const {
-      return tagged('b',
-                    std::string_view(reinterpret_cast<const char*>(v.data()),
-                                     v.size()));
+    std::size_t operator()(std::monostate) const { return 0; }
+    std::size_t operator()(std::int64_t v) const { return std::hash<std::int64_t>{}(v); }
+    // The exact bit pattern, with -0.0 folded into 0.0 (they compare equal).
+    std::size_t operator()(double v) const {
+      return std::hash<std::uint64_t>{}(std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
     }
-    static std::string tagged(char tag, std::string_view body) {
-      std::string out;
-      out.reserve(body.size() + 1);
-      out.push_back(tag);
-      out.append(body);
-      return out;
+    std::size_t operator()(const std::string& v) const {
+      return std::hash<std::string>{}(v);
+    }
+    std::size_t operator()(const std::vector<std::byte>& v) const {
+      return std::hash<std::string_view>{}(std::string_view(
+          reinterpret_cast<const char*>(v.data()), v.size()));
     }
   };
   return std::visit(Visitor{}, value);
 }
 
+bool Table::indexable(const Value& value) {
+  if (std::holds_alternative<std::monostate>(value)) return false;
+  const double* real = std::get_if<double>(&value);
+  return real == nullptr || !std::isnan(*real);
+}
+
+template <typename Visit>
+void Table::for_each_eq_locked(int col, const Value& value, Visit&& visit) const {
+  const auto c = static_cast<std::size_t>(col);
+  auto index = indexes_.find(col);
+  if (index != indexes_.end() && indexable(value)) {
+    auto hit = index->second.rowids.find(hash_of(value));
+    if (hit == index->second.rowids.end()) return;
+    for (std::int64_t rowid : hit->second) {
+      const Row& row = rows_.at(rowid);
+      if (value_equals(row[c], value) && !visit(rowid, row)) return;
+    }
+    return;
+  }
+  for (const auto& [rowid, row] : rows_) {
+    if (value_equals(row[c], value) && !visit(rowid, row)) return;
+  }
+}
+
 Status Table::check_indexes_locked(const Row& row, std::int64_t ignore_rowid) const {
-  for (const auto& [col, index] : unique_indexes_) {
+  for (const auto& [col, index] : indexes_) {
     const Value& v = row[static_cast<std::size_t>(col)];
-    if (std::holds_alternative<std::monostate>(v)) continue;
-    auto it = index.find(index_key(v));
-    if (it != index.end() && it->second != ignore_rowid) {
+    if (!index.unique || !indexable(v)) continue;
+    bool taken = false;
+    for_each_eq_locked(col, v, [&](std::int64_t rowid, const Row&) {
+      taken = rowid != ignore_rowid;
+      return !taken;
+    });
+    if (taken) {
       return Status::AlreadyExists("unique index violation on " +
                                    schema_.column(static_cast<std::size_t>(col)).name +
                                    " = " + value_to_string(v));
@@ -47,20 +72,25 @@ Status Table::check_indexes_locked(const Row& row, std::int64_t ignore_rowid) co
   return Status::Ok();
 }
 
-void Table::add_to_indexes_locked(std::int64_t rowid, const Row& row) {
-  for (auto& [col, index] : unique_indexes_) {
-    const Value& v = row[static_cast<std::size_t>(col)];
-    if (std::holds_alternative<std::monostate>(v)) continue;
-    index.emplace(index_key(v), rowid);
-  }
-}
-
-void Table::remove_from_indexes_locked(std::int64_t rowid, const Row& row) {
-  for (auto& [col, index] : unique_indexes_) {
-    const Value& v = row[static_cast<std::size_t>(col)];
-    if (std::holds_alternative<std::monostate>(v)) continue;
-    auto it = index.find(index_key(v));
-    if (it != index.end() && it->second == rowid) index.erase(it);
+void Table::reindex_locked(std::int64_t rowid, const Row* before, const Row* after) {
+  for (auto& [col, index] : indexes_) {
+    const auto c = static_cast<std::size_t>(col);
+    if (before != nullptr && after != nullptr && value_equals((*before)[c], (*after)[c])) {
+      continue;
+    }
+    if (before != nullptr && indexable((*before)[c])) {
+      auto it = index.rowids.find(hash_of((*before)[c]));
+      if (it != index.rowids.end()) {
+        std::vector<std::int64_t>& ids = it->second;
+        auto pos = std::lower_bound(ids.begin(), ids.end(), rowid);
+        if (pos != ids.end() && *pos == rowid) ids.erase(pos);
+        if (ids.empty()) index.rowids.erase(it);
+      }
+    }
+    if (after != nullptr && indexable((*after)[c])) {
+      std::vector<std::int64_t>& ids = index.rowids[hash_of((*after)[c])];
+      ids.insert(std::upper_bound(ids.begin(), ids.end(), rowid), rowid);
+    }
   }
 }
 
@@ -69,7 +99,7 @@ StatusOr<std::int64_t> Table::insert(Row row) {
   std::lock_guard<std::mutex> lock(mutex_);
   MSRA_RETURN_IF_ERROR(check_indexes_locked(row, /*ignore_rowid=*/-1));
   const std::int64_t rowid = next_rowid_++;
-  add_to_indexes_locked(rowid, row);
+  reindex_locked(rowid, nullptr, &row);
   rows_.emplace(rowid, std::move(row));
   return rowid;
 }
@@ -91,9 +121,8 @@ Status Table::update(std::int64_t rowid, Row row) {
     return Status::NotFound(name_ + ": no rowid " + std::to_string(rowid));
   }
   MSRA_RETURN_IF_ERROR(check_indexes_locked(row, rowid));
-  remove_from_indexes_locked(rowid, it->second);
+  reindex_locked(rowid, &it->second, &row);
   it->second = std::move(row);
-  add_to_indexes_locked(rowid, it->second);
   return Status::Ok();
 }
 
@@ -111,9 +140,8 @@ Status Table::update_cell(std::int64_t rowid, std::string_view column, Value val
   Row updated = it->second;
   updated[static_cast<std::size_t>(col)] = std::move(value);
   MSRA_RETURN_IF_ERROR(check_indexes_locked(updated, rowid));
-  remove_from_indexes_locked(rowid, it->second);
+  reindex_locked(rowid, &it->second, &updated);
   it->second = std::move(updated);
-  add_to_indexes_locked(rowid, it->second);
   return Status::Ok();
 }
 
@@ -123,7 +151,7 @@ Status Table::erase(std::int64_t rowid) {
   if (it == rows_.end()) {
     return Status::NotFound(name_ + ": no rowid " + std::to_string(rowid));
   }
-  remove_from_indexes_locked(rowid, it->second);
+  reindex_locked(rowid, &it->second, nullptr);
   rows_.erase(it);
   return Status::Ok();
 }
@@ -137,23 +165,49 @@ std::vector<std::int64_t> Table::find(const Predicate& predicate) const {
   return out;
 }
 
-std::vector<std::int64_t> Table::find_eq(std::string_view column,
-                                         const Value& value) const {
+std::vector<std::int64_t> Table::find_eq(std::string_view column, const Value& value,
+                                         const Predicate& filter) const {
   const int col = schema_.index_of(column);
   if (col < 0) return {};
-  return find([col, &value](const Row& row) {
-    return value_equals(row[static_cast<std::size_t>(col)], value);
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::int64_t> out;
+  for_each_eq_locked(col, value, [&](std::int64_t rowid, const Row& row) {
+    if (!filter || filter(row)) out.push_back(rowid);
+    return true;
   });
+  return out;
 }
 
 StatusOr<std::int64_t> Table::find_first_eq(std::string_view column,
                                             const Value& value) const {
-  auto ids = find_eq(column, value);
-  if (ids.empty()) {
+  return first_eq(column, value, /*need_index=*/false);
+}
+
+StatusOr<std::int64_t> Table::lookup(std::string_view column, const Value& value) const {
+  return first_eq(column, value, /*need_index=*/true);
+}
+
+StatusOr<std::int64_t> Table::first_eq(std::string_view column, const Value& value,
+                                       bool need_index) const {
+  const int col = schema_.index_of(column);
+  std::int64_t first = -1;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (need_index && indexes_.count(col) == 0) {
+      return Status::InvalidArgument("no index on " + std::string(column));
+    }
+    if (col >= 0) {
+      for_each_eq_locked(col, value, [&first](std::int64_t rowid, const Row&) {
+        first = rowid;
+        return false;
+      });
+    }
+  }
+  if (first < 0) {
     return Status::NotFound(name_ + ": no row with " + std::string(column) +
                             " = " + value_to_string(value));
   }
-  return ids.front();
+  return first;
 }
 
 std::vector<Row> Table::select(const Predicate& predicate) const {
@@ -170,44 +224,45 @@ void Table::for_each(const std::function<void(std::int64_t, const Row&)>& fn) co
   for (const auto& [rowid, row] : rows_) fn(rowid, row);
 }
 
+Status Table::create_index(std::string_view column) {
+  return declare_index(column, /*unique=*/false);
+}
+
 Status Table::create_unique_index(std::string_view column) {
+  return declare_index(column, /*unique=*/true);
+}
+
+Status Table::declare_index(std::string_view column, bool unique) {
   const int col = schema_.index_of(column);
   if (col < 0) return Status::InvalidArgument("no column: " + std::string(column));
+  const auto c = static_cast<std::size_t>(col);
   std::lock_guard<std::mutex> lock(mutex_);
-  std::unordered_map<std::string, std::int64_t> index;
+  if (auto existing = indexes_.find(col);
+      existing != indexes_.end() && (existing->second.unique || !unique)) {
+    return Status::Ok();  // already declared: nothing to rebuild
+  }
+  Index index;
+  index.unique = unique;
   for (const auto& [rowid, row] : rows_) {
-    const Value& v = row[static_cast<std::size_t>(col)];
-    if (std::holds_alternative<std::monostate>(v)) continue;
-    auto [it, inserted] = index.emplace(index_key(v), rowid);
-    if (!inserted) {
+    const Value& v = row[c];
+    if (!indexable(v)) continue;
+    std::vector<std::int64_t>& ids = index.rowids[hash_of(v)];
+    if (unique && std::any_of(ids.begin(), ids.end(), [&](std::int64_t other) {
+          return value_equals(rows_.at(other)[c], v);
+        })) {
       return Status::AlreadyExists("duplicate values prevent unique index on " +
                                    std::string(column));
     }
+    ids.push_back(rowid);
   }
-  unique_indexes_[col] = std::move(index);
+  indexes_[col] = std::move(index);
   return Status::Ok();
-}
-
-StatusOr<std::int64_t> Table::lookup(std::string_view column, const Value& value) const {
-  const int col = schema_.index_of(column);
-  if (col < 0) return Status::InvalidArgument("no column: " + std::string(column));
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto idx_it = unique_indexes_.find(col);
-  if (idx_it == unique_indexes_.end()) {
-    return Status::InvalidArgument("no unique index on " + std::string(column));
-  }
-  auto it = idx_it->second.find(index_key(value));
-  if (it == idx_it->second.end()) {
-    return Status::NotFound(name_ + ": " + std::string(column) + " = " +
-                            value_to_string(value));
-  }
-  return it->second;
 }
 
 void Table::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   rows_.clear();
-  for (auto& [col, index] : unique_indexes_) index.clear();
+  for (auto& [col, index] : indexes_) index.rowids.clear();
 }
 
 namespace {
@@ -260,8 +315,13 @@ void Table::serialize(net::WireWriter& writer) const {
     writer.put_string(col.name);
     writer.put_u8(static_cast<std::uint8_t>(col.type));
   }
-  writer.put_u32(static_cast<std::uint32_t>(unique_indexes_.size()));
-  for (const auto& [col, index] : unique_indexes_) writer.put_u32(static_cast<std::uint32_t>(col));
+  // Only unique indexes are persisted; the format predates the others.
+  std::vector<std::uint32_t> unique_cols;
+  for (const auto& [col, index] : indexes_) {
+    if (index.unique) unique_cols.push_back(static_cast<std::uint32_t>(col));
+  }
+  writer.put_u32(static_cast<std::uint32_t>(unique_cols.size()));
+  for (std::uint32_t col : unique_cols) writer.put_u32(col);
   writer.put_i64(next_rowid_);
   writer.put_u64(rows_.size());
   for (const auto& [rowid, row] : rows_) {

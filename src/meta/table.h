@@ -1,4 +1,4 @@
-// A single metadata table with rowids, predicates and unique indexes.
+// A single metadata table with rowids, predicates and equality indexes.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,16 @@ using Predicate = std::function<bool(const Row&)>;
 
 /// One table: rows keyed by a monotonically increasing rowid.
 /// Thread-safe (coarse lock; metadata traffic is light, as in the paper).
+///
+/// A column may carry one declared equality index: the hash of every
+/// non-NULL, non-NaN cell maps to the ascending rowids holding it. The
+/// hash agrees with value_equals (exact bits, -0.0 folded into 0.0) and
+/// reads recheck each hit's cell, so a collision costs a comparison, never
+/// a wrong row. Writes keep the index current; find_eq, find_first_eq and
+/// lookup read it and scan only for undeclared columns and NULL/NaN
+/// probes. A unique index also rejects duplicates and is the only kind
+/// written by serialize(); a non-unique index lives in memory and is
+/// declared again by whoever owns the schema after a load.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -47,8 +57,10 @@ class Table {
   /// Rowids of rows matching the predicate (insertion order).
   std::vector<std::int64_t> find(const Predicate& predicate) const;
 
-  /// Convenience equality scan on one column.
-  std::vector<std::int64_t> find_eq(std::string_view column, const Value& value) const;
+  /// Rowids with column == value (value_equals) for which `filter`, when
+  /// given, also holds; ascending.
+  std::vector<std::int64_t> find_eq(std::string_view column, const Value& value,
+                                    const Predicate& filter = {}) const;
 
   /// First rowid matching column == value, or kNotFound.
   StatusOr<std::int64_t> find_first_eq(std::string_view column, const Value& value) const;
@@ -59,10 +71,16 @@ class Table {
   /// Visits every (rowid, row).
   void for_each(const std::function<void(std::int64_t, const Row&)>& fn) const;
 
-  /// Declares a unique index on a column. Fails if existing rows collide.
+  /// Declares an equality index on a column. Idempotent: a column that
+  /// already has one (unique or not) keeps it untouched.
+  Status create_index(std::string_view column);
+
+  /// Declares a unique index on a column. Fails if existing rows collide
+  /// (leaving any non-unique index in place); idempotent otherwise.
   Status create_unique_index(std::string_view column);
 
-  /// O(1) lookup through a unique index.
+  /// find_first_eq through the column's index, in O(1); kInvalidArgument
+  /// when the column has none.
   StatusOr<std::int64_t> lookup(std::string_view column, const Value& value) const;
 
   /// Removes every row (indexes retained).
@@ -74,20 +92,40 @@ class Table {
   static StatusOr<std::unique_ptr<Table>> deserialize(net::WireReader& reader);
 
  private:
-  /// Serialized key for index maps. NULLs are not indexed.
-  static std::string index_key(const Value& value);
+  struct Index {
+    bool unique = false;
+    /// hash_of(cell) -> ascending rowids; readers recheck the cell.
+    std::unordered_map<std::size_t, std::vector<std::int64_t>> rowids;
+  };
 
+  /// Agrees with value_equals: equal values hash alike (-0.0 as 0.0).
+  static std::size_t hash_of(const Value& value);
+
+  /// NULL and NaN cells are never indexed: NULL matches by scan, NaN never.
+  static bool indexable(const Value& value);
+
+  /// Calls `visit(rowid, row)` for each row with column `col` == value in
+  /// ascending rowid order until it returns false. Reads the column's
+  /// index when there is one and the probe is indexable.
+  template <typename Visit>
+  void for_each_eq_locked(int col, const Value& value, Visit&& visit) const;
+
+  /// find_first_eq; with `need_index`, kInvalidArgument for a column
+  /// without an index (lookup never falls back to a scan).
+  StatusOr<std::int64_t> first_eq(std::string_view column, const Value& value,
+                                  bool need_index) const;
+  Status declare_index(std::string_view column, bool unique);
   Status check_indexes_locked(const Row& row, std::int64_t ignore_rowid) const;
-  void add_to_indexes_locked(std::int64_t rowid, const Row& row);
-  void remove_from_indexes_locked(std::int64_t rowid, const Row& row);
+  /// Moves `rowid` from its keys in `before` to its keys in `after`
+  /// (either may be null: insert, erase), touching only changed columns.
+  void reindex_locked(std::int64_t rowid, const Row* before, const Row* after);
 
   std::string name_;
   Schema schema_;
   mutable std::mutex mutex_;
   std::map<std::int64_t, Row> rows_;
   std::int64_t next_rowid_ = 1;
-  // column index -> (key -> rowid)
-  std::map<int, std::unordered_map<std::string, std::int64_t>> unique_indexes_;
+  std::map<int, Index> indexes_;  ///< column index -> its declared index
 };
 
 }  // namespace msra::meta

@@ -48,7 +48,7 @@ AdmissionController::AdmissionController(core::StorageSystem& system,
 void AdmissionController::quote_intent(const core::Workload::IoIntent& intent,
                                        double now, double* cheapest,
                                        double* fixed) const {
-  core::MetaCatalog catalog(&system_.metadb());
+  const core::MetaCatalog& catalog = system_.catalog();
   auto record = catalog.find_dataset(intent.dataset);
   if (!record.ok()) return;  // not registered yet: nothing to price
 

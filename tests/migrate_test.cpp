@@ -5,6 +5,7 @@
 // demotion.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -466,11 +467,13 @@ TEST_F(CatalogFormatTest, MultiReplicaRecordsRoundTrip) {
 }
 
 // A catalog written by the pre-replica format (one row per replica, a
-// single `location` column) upgrades in place on open.
+// single `location` column) upgrades in place on open. The v1 file is
+// written through a bare Database, as an old build left it: a
+// StorageSystem opens its catalog (and the v2 table) at construction.
 TEST_F(CatalogFormatTest, OldFormatCatalogLoads) {
   {
-    StorageSystem system(HardwareProfile::test_profile(), root_);
-    auto table = system.metadb().open_table(
+    meta::Database db;
+    auto table = db.open_table(
         "instances",
         meta::Schema{{"dataset_key", meta::ColumnType::kText},
                      {"timestep", meta::ColumnType::kInt},
@@ -495,7 +498,8 @@ TEST_F(CatalogFormatTest, OldFormatCatalogLoads) {
                               Value{"REMOTEDISK"}, Value{"app/other/t7"},
                               Value{std::int64_t{2048}}})
                     .ok());
-    ASSERT_TRUE(system.save_metadata().ok());
+    std::filesystem::create_directories(root_);
+    ASSERT_TRUE(db.save(root_ / "meta.db").ok());
   }
   StorageSystem system(HardwareProfile::test_profile(), root_);
   MetaCatalog catalog(&system.metadb());
@@ -513,6 +517,48 @@ TEST_F(CatalogFormatTest, OldFormatCatalogLoads) {
   EXPECT_EQ(other->replicas, std::vector<core::ReplicaAddress>{Location::kRemoteDisk});
   EXPECT_EQ(other->bytes, 2048u);
   EXPECT_EQ(catalog.all_instances().size(), 2u);
+}
+
+// Every catalog lookup reads an index, so its cost does not grow with the
+// rows the catalog holds. 50k datasets with one instance each register and
+// resolve in about a second in an optimized build; a scan per lookup makes
+// this quadratic (minutes). The bound leaves room for sanitizer builds.
+TEST(CatalogScaleTest, LookupCostStaysFlatInCatalogSize) {
+  const auto began = std::chrono::steady_clock::now();
+  meta::Database db;
+  MetaCatalog catalog(&db);
+  constexpr int kDatasets = 50000;
+  auto name_of = [](int i) {
+    std::string name("ckpt");
+    name += std::to_string(i);
+    return name;
+  };
+  core::DatasetDesc desc;
+  desc.dims = {8, 8, 8};
+  desc.location = Location::kLocalDisk;
+  for (int i = 0; i < kDatasets; ++i) {
+    desc.name = name_of(i);
+    ASSERT_TRUE(catalog.register_dataset("fleet", desc, Location::kLocalDisk).ok());
+    InstanceRecord record;
+    record.dataset_key = MetaCatalog::dataset_key("fleet", desc.name);
+    record.replicas = {Location::kLocalDisk};
+    record.path = record.dataset_key;
+    record.bytes = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(catalog.record_instance(record).ok());
+  }
+  for (int i = 0; i < kDatasets; ++i) {
+    const std::string name = name_of(i);
+    auto dataset = catalog.find_dataset(name);
+    ASSERT_TRUE(dataset.ok()) << name;
+    EXPECT_EQ(dataset->desc.name, name);
+    auto instance = catalog.instance("fleet", name, 0);
+    ASSERT_TRUE(instance.ok()) << name;
+    EXPECT_EQ(instance->bytes, static_cast<std::uint64_t>(i));
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - began)
+                             .count();
+  EXPECT_LT(seconds, 10.0);
 }
 
 // ------------------------------------------------- ordered candidates ----

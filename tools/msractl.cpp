@@ -670,7 +670,7 @@ int cmd_histogram(Env& env, const Args& args, Out& out, const std::string&) {
 }
 
 int cmd_catalog(Env& env, const Args&, Out& out, const std::string&) {
-  core::MetaCatalog catalog(&env.system->metadb());
+  const core::MetaCatalog& catalog = env.system->catalog();
   out.print("%-12s %-16s %-10s %-6s %-14s %-12s %6s\n", "APP", "NAME",
             "AMODE", "ETYPE", "DIMS", "LOCATION", "DUMPS");
   for (const auto& record : catalog.all_datasets()) {
@@ -719,7 +719,7 @@ void columns(Row& r, const ResourceRow& x) {
 int cmd_resources(Env& env, const Args&, Out& out, const std::string&) {
   core::StorageSystem& system = *env.system;
   std::map<std::pair<int, int>, std::uint64_t> replicas;
-  const core::MetaCatalog catalog(&system.metadb());
+  const core::MetaCatalog& catalog = system.catalog();
   for (const core::InstanceRecord& record : catalog.all_instances()) {
     for (core::ReplicaAddress address : record.replicas) {
       ++replicas[{static_cast<int>(address.location), address.server}];
@@ -828,11 +828,10 @@ int cmd_cluster(Env& env, const Args& args, Out& out, const std::string&) {
 // The AccessTracker is in-process, so a fresh CLI process starts cold.
 // --hot name[=reads] (repeatable) synthesizes read heat for a dataset so
 // planning decisions are reproducible from the shell.
-void seed_heat(core::StorageSystem& system, const core::MetaCatalog& catalog,
-               const Args& args) {
+void seed_heat(core::StorageSystem& system, const Args& args) {
   for (const auto& [name, text] : args.get_specs("hot", "4")) {
     const int reads = Args::to_number("--hot " + name, text, 0);
-    const auto instances = instances_named(catalog, name);
+    const auto instances = instances_named(system.catalog(), name);
     if (instances.empty()) {
       std::fprintf(stderr, "msractl: --hot %s matches no dumped instance\n",
                    name.c_str());
@@ -951,7 +950,7 @@ void columns(Row& r, const MoveReport& x) {
 
 int cmd_migrate(Env& env, const Args& args, Out& out,
                 const std::string& verb) {
-  seed_heat(*env.system, core::MetaCatalog(&env.system->metadb()), args);
+  seed_heat(*env.system, args);
   flow::StagingConfig staging;
   staging.throttle_bytes_per_sec = args.get_mb("throttle-mb", 0, 0);
   flow::MigrationConfig config;
@@ -1018,7 +1017,7 @@ int cmd_migrate(Env& env, const Args& args, Out& out,
 flow::Campaign flow_campaign(const Args& args, core::StorageSystem& system) {
   const std::string dataset = args.get("dataset", "temp");
   const int timesteps = std::max(1, args.get_int("timesteps", 2));
-  core::MetaCatalog catalog(&system.metadb());
+  core::MetaCatalog& catalog = system.catalog();
   auto record = catalog.find_dataset(dataset);
   std::string app = "astro";
   core::DatasetDesc desc;
@@ -1423,8 +1422,8 @@ void columns(Row& r, const Verdict& x) {
 // name[=rounds] replays whole-dataset reads through a session so offers
 // land, hits accumulate, and the counters mean something.
 int cmd_cache(Env& env, const Args& args, Out& out, const std::string& verb) {
-  core::MetaCatalog catalog(&env.system->metadb());
-  seed_heat(*env.system, catalog, args);
+  seed_heat(*env.system, args);
+  const core::MetaCatalog& catalog = env.system->catalog();
   cache::CacheConfig config;
   config.memory_bytes = args.get_mb("cache-mb", 64, 1);
   config.spill_bytes = args.get_mb("spill-mb", 0, 0);
