@@ -19,10 +19,16 @@ fi
 
 mkdir -p "${OUT_DIR}"
 
+# Each bench's host wall time goes to stdout only; the JSON summaries hold
+# simulated seconds and stay byte-comparable.
 run() {
-  local name="$1" fig="$2"
+  local name="$1" fig="$2" start_ns end_ns ms
   echo "==> ${name}"
+  start_ns="$(date +%s%N)"
   "${BENCH_DIR}/${name}" --json "${OUT_DIR}/BENCH_${fig}.json"
+  end_ns="$(date +%s%N)"
+  ms=$(( (end_ns - start_ns) / 1000000 ))
+  printf '<== %s: %d.%03d s wall\n' "${name}" $(( ms / 1000 )) $(( ms % 1000 ))
   echo
 }
 

@@ -1,8 +1,11 @@
 #include "apps/astro3d/astro3d.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <span>
 
 #include "common/log.h"
 #include "prt/comm.h"
@@ -79,10 +82,84 @@ std::vector<core::DatasetDesc> dataset_descs(const Config& config) {
 
 // -------------------------------------------------------------- kernel ----
 
+namespace {
+
+/// Element strides of a row-major float block along dims 0 and 1. Dim 2
+/// (k) is contiguous in every layout the kernel uses: a field's box, its
+/// ghost-padded copy and a halo face on the wire.
+using Strides = std::array<std::size_t, 2>;
+
+/// Dense strides of a block with extents n.
+Strides dense(const std::array<std::size_t, 3>& n) {
+  return {n[1] * n[2], n[2]};
+}
+
+/// Copies n[0] x n[1] k-rows of n[2] floats from `src` to `dst`, each side
+/// addressed with its own strides; either side may be a message buffer.
+void copy_rows(const void* src, Strides from, void* dst, Strides to,
+               const std::array<std::size_t, 3>& n) {
+  const auto* in = static_cast<const std::byte*>(src);
+  auto* out = static_cast<std::byte*>(dst);
+  for (std::size_t a = 0; a < n[0]; ++a) {
+    for (std::size_t b = 0; b < n[1]; ++b) {
+      std::memcpy(out + (a * to[0] + b * to[1]) * sizeof(float),
+                  in + (a * from[0] + b * from[1]) * sizeof(float),
+                  n[2] * sizeof(float));
+    }
+  }
+}
+
+/// One rank's box (extents n, k-rows contiguous) and its ghost-padded copy
+/// ((n0+2) x (n1+2) x (n2+2), the box at padded coordinates 1..n).
+struct Layout {
+  explicit Layout(const prt::LocalBox& box)
+      : n{box.extent[0].size(), box.extent[1].size(), box.extent[2].size()},
+        box(dense(n)),
+        padded{(n[1] + 2) * (n[2] + 2), n[2] + 2} {}
+
+  /// The extents of a face normal to dim d.
+  std::array<std::size_t, 3> face(std::size_t d) const {
+    auto out = n;
+    out[d] = 1;
+    return out;
+  }
+  /// Offset in the box of the face normal to d on side s (0 below, 1 above).
+  std::size_t box_face(std::size_t d, int s) const {
+    std::array<std::size_t, 3> at{};
+    at[d] = s == 0 ? 0 : n[d] - 1;
+    return at[0] * box[0] + at[1] * box[1] + at[2];
+  }
+  /// Offset in the padded block of the ghost plane normal to d on side s.
+  std::size_t ghost(std::size_t d, int s) const {
+    std::array<std::size_t, 3> at = {1, 1, 1};
+    at[d] = s == 0 ? 0 : n[d] + 1;
+    return at[0] * padded[0] + at[1] * padded[1] + at[2];
+  }
+
+  std::array<std::size_t, 3> n;
+  Strides box;
+  Strides padded;
+};
+
+}  // namespace
+
 State::State(const prt::Decomposition& decomp, int rank)
-    : decomp_(&decomp), rank_(rank), box_(decomp.local_box(rank)) {
+    : box_(decomp.local_box(rank)) {
   for (auto& field : fields_) field = prt::Array3D<float>(box_);
   for (auto& field : scratch_) field = prt::Array3D<float>(box_);
+  const prt::ProcessGrid& grid = decomp.grid();
+  const auto coords = grid.coords_of(rank);
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (int s = 0; s < 2; ++s) {
+      auto n = coords;
+      n[d] += (s == 0 ? -1 : 1);
+      neighbor_[d][static_cast<std::size_t>(s)] =
+          n[d] < 0 || n[d] >= grid.shape[d] ? -1 : grid.rank_of(n);
+    }
+  }
+  const Layout layout(box_);
+  padded_.resize((layout.n[0] + 2) * layout.padded[0]);
+  heat_.resize(layout.n[0] + layout.n[1] + layout.n[2] - 2);
 }
 
 void State::initialize(const std::array<std::uint64_t, 3>& dims) {
@@ -114,213 +191,162 @@ void State::initialize(const std::array<std::uint64_t, 3>& dims) {
   }
 }
 
-Halo State::exchange_halo(prt::Comm& comm, Field f) const {
-  const auto& src = fields_[static_cast<int>(f)];
-  const prt::ProcessGrid& grid = decomp_->grid();
-  const auto coords = grid.coords_of(rank_);
-  const auto& e = box_.extent;
+void State::exchange_halo(prt::Comm& comm, Field f) {
+  const Layout layout(box_);
+  const float* src = fields_[static_cast<int>(f)].flat().data();
   const int base_tag = static_cast<int>(f) * 6;
-
-  auto neighbor_of = [&](std::size_t d, int s) -> int {
-    auto n = coords;
-    n[d] += (s == 0 ? -1 : 1);
-    if (n[d] < 0 || n[d] >= grid.shape[d]) return -1;
-    return grid.rank_of(n);
-  };
-  auto pack_face = [&](std::size_t d, int s) {
-    std::vector<float> face;
-    const std::uint64_t fixed = (s == 0) ? e[d].lo : e[d].hi - 1;
-    const std::size_t d1 = (d + 1) % 3, d2 = (d + 2) % 3;
-    face.reserve(static_cast<std::size_t>(e[d1].size() * e[d2].size()));
-    std::array<std::uint64_t, 3> idx{};
-    idx[d] = fixed;
-    for (std::uint64_t a = e[d1].lo; a < e[d1].hi; ++a) {
-      for (std::uint64_t b = e[d2].lo; b < e[d2].hi; ++b) {
-        idx[d1] = a;
-        idx[d2] = b;
-        face.push_back(src.at(idx[0], idx[1], idx[2]));
-      }
-    }
-    return face;
-  };
-
+  // A face travels in row-major order of the two dims it spans.
   // Post all sends first: our prt send() is buffered and never blocks.
   for (std::size_t d = 0; d < 3; ++d) {
+    const auto face = layout.face(d);
     for (int s = 0; s < 2; ++s) {
-      const int neighbor = neighbor_of(d, s);
+      const int neighbor = neighbor_[d][static_cast<std::size_t>(s)];
       if (neighbor < 0) continue;
-      auto face = pack_face(d, s);
-      std::vector<std::byte> bytes(face.size() * sizeof(float));
-      std::memcpy(bytes.data(), face.data(), bytes.size());
+      std::vector<std::byte> bytes(face[0] * face[1] * face[2] * sizeof(float));
+      copy_rows(src + layout.box_face(d, s), layout.box, bytes.data(),
+                dense(face), face);
       comm.send(neighbor, base_tag + static_cast<int>(d) * 2 + s,
                 std::move(bytes));
     }
   }
-  Halo halo;
   for (std::size_t d = 0; d < 3; ++d) {
+    const auto face = layout.face(d);
     for (int s = 0; s < 2; ++s) {
-      const int neighbor = neighbor_of(d, s);
+      const int neighbor = neighbor_[d][static_cast<std::size_t>(s)];
       if (neighbor < 0) continue;
       // The neighbor in direction s sent its opposite face (1 - s).
-      auto bytes =
+      const auto bytes =
           comm.recv(neighbor, base_tag + static_cast<int>(d) * 2 + (1 - s));
-      auto& face = halo.face[d][static_cast<std::size_t>(s)];
-      face.resize(bytes.size() / sizeof(float));
-      std::memcpy(face.data(), bytes.data(), bytes.size());
+      assert(bytes.size() == face[0] * face[1] * face[2] * sizeof(float));
+      copy_rows(bytes.data(), dense(face), padded_.data() + layout.ghost(d, s),
+                layout.padded, face);
     }
   }
-  return halo;
 }
 
-float State::sample(const prt::Array3D<float>& src, const Halo* halo,
-                    const prt::LocalBox& box, std::int64_t i, std::int64_t j,
-                    std::int64_t k) {
-  const std::array<std::int64_t, 3> idx = {i, j, k};
-  std::array<std::uint64_t, 3> inside{};
-  int out_dim = -1;
-  int out_dir = 0;
-  for (std::size_t d = 0; d < 3; ++d) {
-    const auto lo = static_cast<std::int64_t>(box.extent[d].lo);
-    const auto hi = static_cast<std::int64_t>(box.extent[d].hi);
-    if (idx[d] < lo) {
-      out_dim = static_cast<int>(d);
-      out_dir = 0;
-      inside[d] = static_cast<std::uint64_t>(lo);
-    } else if (idx[d] >= hi) {
-      out_dim = static_cast<int>(d);
-      out_dir = 1;
-      inside[d] = static_cast<std::uint64_t>(hi - 1);
-    } else {
-      inside[d] = static_cast<std::uint64_t>(idx[d]);
+void State::pad(Field f, prt::Comm* comm) {
+  const Layout layout(box_);
+  const auto [n0, n1, n2] = layout.n;
+  const float* src = fields_[static_cast<int>(f)].flat().data();
+  // Every ghost cell first repeats its nearest box cell: the clamped stencil
+  // (the global-domain boundary condition, or the serial-mode approximation
+  // at internal box edges).
+  for (std::size_t pi = 0; pi < n0 + 2; ++pi) {
+    const std::size_t i = std::clamp<std::size_t>(pi, 1, n0) - 1;
+    for (std::size_t pj = 0; pj < n1 + 2; ++pj) {
+      const std::size_t j = std::clamp<std::size_t>(pj, 1, n1) - 1;
+      const float* row = src + (i * n1 + j) * n2;
+      float* out =
+          padded_.data() + pi * layout.padded[0] + pj * layout.padded[1];
+      out[0] = row[0];
+      std::copy_n(row, n2, out + 1);
+      out[n2 + 1] = row[n2 - 1];
     }
   }
-  if (out_dim < 0) return src.at(inside[0], inside[1], inside[2]);
-  // One cell outside the box in exactly one dimension (stencil property).
-  if (halo != nullptr) {
-    const auto& face =
-        halo->face[static_cast<std::size_t>(out_dim)][static_cast<std::size_t>(out_dir)];
-    if (!face.empty()) {
-      const std::size_t d = static_cast<std::size_t>(out_dim);
-      const std::size_t d1 = (d + 1) % 3, d2 = (d + 2) % 3;
-      const std::uint64_t a = inside[d1] - box.extent[d1].lo;
-      const std::uint64_t b = inside[d2] - box.extent[d2].lo;
-      return face[static_cast<std::size_t>(a * box.extent[d2].size() + b)];
-    }
-  }
-  // No halo: clamped edge (the global-domain boundary condition, or the
-  // serial-mode approximation at internal box edges).
-  return src.at(inside[0], inside[1], inside[2]);
+  // Inside the domain, the neighbor ranks' faces replace the clamp.
+  if (comm != nullptr && comm->size() > 1) exchange_halo(*comm, f);
 }
 
-void State::step(const std::array<std::uint64_t, 3>& dims, int iteration,
-                 prt::Comm* comm) {
-  (void)dims;
+void State::step(int iteration, prt::Comm* comm) {
   const float dt = 0.1f;
   const float kappa = 0.15f;  // diffusion
-  const auto& e = box_.extent;
+  const Layout layout(box_);
+  const auto [n0, n1, n2] = layout.n;
+  const auto [di, dj] = layout.padded;
   // Explicit update: diffusion of every field plus velocity-driven upwind
   // advection and a time-varying heat source (a documented simplification
   // of the Godunov + Crank-Nicholson scheme — the I/O layers only need
   // honestly evolving fields). With a Comm, ghost faces make the parallel
   // evolution bit-identical to the serial one.
+  //
+  // A pulsing heat source keeps temp/press evolving (and MSE non-zero). It
+  // depends on the global i + j + k only, so it is tabulated once per step.
   const float source_phase = 0.05f * static_cast<float>(iteration);
+  const std::uint64_t corner =
+      box_.extent[0].lo + box_.extent[1].lo + box_.extent[2].lo;
+  for (std::size_t s = 0; s < heat_.size(); ++s) {
+    heat_[s] = 0.02f *
+               std::sin(source_phase + 0.1f * static_cast<float>(corner + s));
+  }
+  // Fields swap only after the sweep, so w is the pre-step uz throughout.
+  const float* uz = field(Field::kUz).flat().data();
   for (int f = 0; f < kNumFields; ++f) {
-    const auto& src = fields_[f];
-    auto& dst = scratch_[f];
-    Halo halo;
-    const Halo* halo_ptr = nullptr;
-    if (comm != nullptr && comm->size() > 1) {
-      halo = exchange_halo(*comm, static_cast<Field>(f));
-      halo_ptr = &halo;
-    }
-    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
-      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
-        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
-          const auto si = static_cast<std::int64_t>(i);
-          const auto sj = static_cast<std::int64_t>(j);
-          const auto sk = static_cast<std::int64_t>(k);
-          const float center = src.at(i, j, k);
-          const float lap = sample(src, halo_ptr, box_, si - 1, sj, sk) +
-                            sample(src, halo_ptr, box_, si + 1, sj, sk) +
-                            sample(src, halo_ptr, box_, si, sj - 1, sk) +
-                            sample(src, halo_ptr, box_, si, sj + 1, sk) +
-                            sample(src, halo_ptr, box_, si, sj, sk - 1) +
-                            sample(src, halo_ptr, box_, si, sj, sk + 1) -
-                            6.0f * center;
+    pad(static_cast<Field>(f), comm);
+    float* out = scratch_[f].flat().data();
+    for (std::size_t i = 0; i < n0; ++i) {
+      for (std::size_t j = 0; j < n1; ++j) {
+        // Row (i, j) of the box in the padding, its four neighbor rows in x
+        // and y, and itself shifted one cell down and up in z.
+        const float* c = padded_.data() + (i + 1) * di + (j + 1) * dj + 1;
+        const float* x_lo = c - di;
+        const float* x_hi = c + di;
+        const float* y_lo = c - dj;
+        const float* y_hi = c + dj;
+        const float* z_lo = c - 1;
+        const float* z_hi = c + 1;
+        const std::size_t row = (i * n1 + j) * n2;
+        const float* w = uz + row;
+        float* dst = out + row;
+        for (std::size_t k = 0; k < n2; ++k) {
+          const float center = c[k];
+          const float lap = x_lo[k] + x_hi[k] + y_lo[k] + y_hi[k] + z_lo[k] +
+                            z_hi[k] - 6.0f * center;
           float value = center + dt * kappa * lap;
-          // First-order upwind advection along uz (cheap, keeps motion).
-          const float w = field(Field::kUz).at(i, j, k);
-          const float below = sample(src, halo_ptr, box_, si, sj, sk - 1);
-          const float above = sample(src, halo_ptr, box_, si, sj, sk + 1);
-          const float upwind = w > 0 ? center - below : above - center;
-          value -= dt * w * upwind;
-          dst.at(i, j, k) = value;
+          // First-order upwind advection along uz (cheap, keeps motion):
+          // center - below for w > 0, else above - center. Selecting the
+          // operands, not the differences, lets the compiler vectorize it.
+          const bool rising = w[k] > 0;
+          const float upwind =
+              (rising ? center : z_hi[k]) - (rising ? z_lo[k] : center);
+          value -= dt * w[k] * upwind;
+          dst[k] = value;
+        }
+        const float* heat = heat_.data() + i + j;
+        if (f == static_cast<int>(Field::kTemp)) {
+          for (std::size_t k = 0; k < n2; ++k) dst[k] += heat[k];
+        } else if (f == static_cast<int>(Field::kPress)) {
+          for (std::size_t k = 0; k < n2; ++k) dst[k] += 0.5f * heat[k];
         }
       }
     }
   }
   for (int f = 0; f < kNumFields; ++f) std::swap(fields_[f], scratch_[f]);
-  // A pulsing heat source keeps temp/press evolving (and MSE non-zero).
-  auto& temp = field(Field::kTemp);
-  auto& press = field(Field::kPress);
-  for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
-    for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
-      for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
-        const float heat =
-            0.02f * std::sin(source_phase + 0.1f * static_cast<float>(i + j + k));
-        temp.at(i, j, k) += heat;
-        press.at(i, j, k) += 0.5f * heat;
-      }
-    }
-  }
 }
 
 std::vector<std::uint8_t> State::render_field(const std::string& vr_name) const {
   // Map the derived quantity to floats, then normalize this block to uchar.
-  const auto& e = box_.extent;
-  std::vector<float> values;
-  values.reserve(static_cast<std::size_t>(box_.volume()));
-  auto push_all = [&](auto&& fn) {
-    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
-      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
-        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
-          values.push_back(fn(i, j, k));
-        }
-      }
-    }
+  const auto rho = field(Field::kRho).flat();
+  const auto press = field(Field::kPress).flat();
+  const auto ux = field(Field::kUx).flat();
+  const auto uy = field(Field::kUy).flat();
+  const auto uz = field(Field::kUz).flat();
+  std::vector<float> derived;
+  auto derive = [&](auto&& fn) {
+    derived.resize(rho.size());
+    for (std::size_t x = 0; x < derived.size(); ++x) derived[x] = fn(x);
+    return std::span<const float>(derived);
   };
-  const auto& rho = field(Field::kRho);
-  const auto& temp = field(Field::kTemp);
-  const auto& press = field(Field::kPress);
-  const auto& ux = field(Field::kUx);
-  const auto& uy = field(Field::kUy);
-  const auto& uz = field(Field::kUz);
+  std::span<const float> values;
   if (vr_name == "vr_scalar" || vr_name == "vr_temp") {
-    push_all([&](auto i, auto j, auto k) { return temp.at(i, j, k); });
+    values = field(Field::kTemp).flat();
   } else if (vr_name == "vr_press") {
-    push_all([&](auto i, auto j, auto k) { return press.at(i, j, k); });
+    values = press;
   } else if (vr_name == "vr_rho") {
-    push_all([&](auto i, auto j, auto k) { return rho.at(i, j, k); });
+    values = rho;
   } else if (vr_name == "vr_mach") {
-    push_all([&](auto i, auto j, auto k) {
-      const float u2 = ux.at(i, j, k) * ux.at(i, j, k) +
-                       uy.at(i, j, k) * uy.at(i, j, k) +
-                       uz.at(i, j, k) * uz.at(i, j, k);
-      const float c2 = std::max(1e-6f, press.at(i, j, k) /
-                                           std::max(1e-6f, rho.at(i, j, k)));
+    values = derive([&](std::size_t x) {
+      const float u2 = ux[x] * ux[x] + uy[x] * uy[x] + uz[x] * uz[x];
+      const float c2 = std::max(1e-6f, press[x] / std::max(1e-6f, rho[x]));
       return std::sqrt(u2 / c2);
     });
   } else if (vr_name == "vr_ek") {
-    push_all([&](auto i, auto j, auto k) {
-      const float u2 = ux.at(i, j, k) * ux.at(i, j, k) +
-                       uy.at(i, j, k) * uy.at(i, j, k) +
-                       uz.at(i, j, k) * uz.at(i, j, k);
-      return 0.5f * rho.at(i, j, k) * u2;
+    values = derive([&](std::size_t x) {
+      const float u2 = ux[x] * ux[x] + uy[x] * uy[x] + uz[x] * uz[x];
+      return 0.5f * rho[x] * u2;
     });
   } else {  // vr_logrho
-    push_all([&](auto i, auto j, auto k) {
-      return std::log(std::max(1e-6f, rho.at(i, j, k)));
-    });
+    values = derive(
+        [&](std::size_t x) { return std::log(std::max(1e-6f, rho[x])); });
   }
   float lo = values[0], hi = values[0];
   for (float v : values) {
@@ -415,7 +441,7 @@ StatusOr<Result> run(core::Session& session, const Config& config) {
     for (int it = start_iteration; it <= config.iterations && my_status.ok();
          ++it) {
       if (it > 0) {
-        state.step(config.dims, it, &comm);
+        state.step(it, &comm);
         if (config.compute_seconds_per_iteration > 0.0) {
           comm.timeline().advance(config.compute_seconds_per_iteration);
           compute_time += config.compute_seconds_per_iteration;

@@ -10,7 +10,7 @@
 //                                    vr_mach vr_ek vr_logrho
 //   * 6 checkpoint sets    (float):  restart_* (over_write mode)
 // Our kernel evolves the same six fields with an explicit
-// advection-diffusion update (clamped stencil at block edges — documented
+// advection-diffusion update (clamped stencil at the domain edge — documented
 // simplification), so the data genuinely changes every timestep and the
 // post-processing consumers (MSE, Volren, slicing) operate on real fields.
 #pragma once
@@ -75,13 +75,6 @@ struct Result {
   std::map<std::string, core::Location> placements;
 };
 
-/// Halo (ghost-cell) faces of one field, one per (dimension, direction).
-/// halo[d][0] is the neighbor plane just below the box in dim d, halo[d][1]
-/// just above; empty when the box touches the global domain boundary.
-struct Halo {
-  std::array<std::array<std::vector<float>, 2>, 3> face;
-};
-
 /// The state of one rank's block of the simulation.
 class State {
  public:
@@ -96,32 +89,35 @@ class State {
   /// Deterministic initial condition (smooth blobs + stratification).
   void initialize(const std::array<std::uint64_t, 3>& dims);
 
-  /// One explicit advection-diffusion step. Without a Comm the stencil is
-  /// clamped at the *local* box edge (serial semantics); with a Comm, ghost
-  /// faces are exchanged with the neighboring ranks first, so a parallel
-  /// run evolves bit-identically to a serial one.
-  void step(const std::array<std::uint64_t, 3>& dims, int iteration,
-            prt::Comm* comm = nullptr);
+  /// One explicit advection-diffusion step, run per field as one sweep over
+  /// a ghost-padded copy of the box. Each of the six ghost planes holds the
+  /// neighbor rank's boundary face when a Comm with more than one rank
+  /// exchanges one, and otherwise a copy of the box's own edge plane: the
+  /// clamp at the global domain edge, and at every box edge in serial mode.
+  /// So a parallel run evolves bit-identically to a serial one.
+  void step(int iteration, prt::Comm* comm = nullptr);
 
   /// Derived visualization field, normalized to uchar.
   std::vector<std::uint8_t> render_field(const std::string& vr_name) const;
 
  private:
-  /// Exchanges the six boundary faces of field `f` with neighbor ranks.
-  Halo exchange_halo(prt::Comm& comm, Field f) const;
+  /// Copies field `f` into `padded_` and fills its six ghost planes.
+  void pad(Field f, prt::Comm* comm);
 
-  /// Value of `src` at (i, j, k) where the index may lie one cell outside
-  /// the box: served from the halo if available, else clamped to the edge
-  /// (the global domain boundary condition).
-  static float sample(const prt::Array3D<float>& src, const Halo* halo,
-                      const prt::LocalBox& box, std::int64_t i, std::int64_t j,
-                      std::int64_t k);
+  /// Sends the boundary faces of field `f` to the neighbor ranks and
+  /// unpacks the faces they send into the matching ghost planes.
+  void exchange_halo(prt::Comm& comm, Field f);
 
-  const prt::Decomposition* decomp_;
-  int rank_;
   prt::LocalBox box_;
+  /// neighbor_[d][0] is the rank just below the box in dim d, [d][1] the
+  /// rank just above; -1 where the box touches the global domain edge.
+  std::array<std::array<int, 2>, 3> neighbor_;
   std::array<prt::Array3D<float>, kNumFields> fields_;
   std::array<prt::Array3D<float>, kNumFields> scratch_;
+  /// One field with a one-cell ghost shell: (n0+2) x (n1+2) x (n2+2).
+  std::vector<float> padded_;
+  /// The heat source for each distinct local i + j + k of one step.
+  std::vector<float> heat_;
 };
 
 /// Runs the full simulation through the session API. `session` must have

@@ -1,6 +1,7 @@
 #include "apps/vizlib/vizlib.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 namespace msra::apps::vizlib {
@@ -81,11 +82,15 @@ std::vector<std::uint64_t> field_histogram(std::span<const float> volume,
                                            float lo, float hi, int bins) {
   std::vector<std::uint64_t> out(static_cast<std::size_t>(std::max(1, bins)), 0);
   if (hi <= lo) return out;
-  const float scale = static_cast<float>(out.size()) / (hi - lo);
+  const float size = static_cast<float>(out.size());
+  const float scale = size / (hi - lo);
   for (float v : volume) {
-    auto bin = static_cast<std::int64_t>((v - lo) * scale);
-    bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(out.size()) - 1);
-    out[static_cast<std::size_t>(bin)]++;
+    const float x = (v - lo) * scale;
+    if (std::isnan(x)) continue;
+    // Clamp before converting: a float beyond the integer range (1e30, inf)
+    // has no defined conversion.
+    const auto bin = static_cast<std::size_t>(std::clamp(x, 0.0f, size));
+    out[std::min(bin, out.size() - 1)]++;
   }
   return out;
 }

@@ -33,6 +33,9 @@ std::uint64_t count_isosurface_cells(std::span<const float> volume,
                                      float iso);
 
 /// Histogram of a float volume over `bins` equal-width bins of [lo, hi].
+/// Values below lo count in the first bin and values above hi (+inf too) in
+/// the last. NaN values are skipped: they belong to no bin, so the counts
+/// sum to the number of non-NaN values.
 std::vector<std::uint64_t> field_histogram(std::span<const float> volume,
                                            float lo, float hi, int bins);
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <mutex>
 #include <numeric>
 
 #include "apps/astro3d/astro3d.h"
@@ -136,8 +139,8 @@ TEST(Astro3DTest, KernelEvolvesDeterministically) {
   a.initialize({12, 12, 12});
   b.initialize({12, 12, 12});
   for (int it = 1; it <= 5; ++it) {
-    a.step({12, 12, 12}, it);
-    b.step({12, 12, 12}, it);
+    a.step(it);
+    b.step(it);
   }
   EXPECT_EQ(0, std::memcmp(a.field(astro3d::Field::kTemp).bytes().data(),
                            b.field(astro3d::Field::kTemp).bytes().data(),
@@ -155,7 +158,7 @@ TEST(Astro3DTest, FieldsStayFinite) {
   ASSERT_TRUE(decomp.ok());
   astro3d::State state(*decomp, 0);
   state.initialize({16, 16, 16});
-  for (int it = 1; it <= 30; ++it) state.step({16, 16, 16}, it);
+  for (int it = 1; it <= 30; ++it) state.step(it);
   for (int f = 0; f < astro3d::kNumFields; ++f) {
     for (float v : state.field(static_cast<astro3d::Field>(f)).flat()) {
       ASSERT_TRUE(std::isfinite(v));
@@ -175,6 +178,293 @@ TEST(Astro3DTest, RenderFieldCoversFullRange) {
     const auto [lo, hi] = std::minmax_element(pixels.begin(), pixels.end());
     EXPECT_EQ(*lo, 0) << name;
     EXPECT_EQ(*hi, 255) << name;
+  }
+}
+
+// The per-cell kernel and renderer: the references State::step's padded
+// sweep and State::render_field must match bit for bit. Serial only: every
+// stencil read goes through `reference_sample`, which clamps an index one
+// cell outside the box to the box's edge, and the heat term calls sin once
+// per cell.
+using Fields = std::array<prt::Array3D<float>, astro3d::kNumFields>;
+
+const prt::Array3D<float>& of(const Fields& fields, astro3d::Field f) {
+  return fields[static_cast<std::size_t>(f)];
+}
+
+float reference_sample(const prt::Array3D<float>& src, std::int64_t i,
+                       std::int64_t j, std::int64_t k) {
+  const std::array<std::int64_t, 3> idx = {i, j, k};
+  std::array<std::uint64_t, 3> inside{};
+  for (std::size_t d = 0; d < 3; ++d) {
+    const auto lo = static_cast<std::int64_t>(src.box().extent[d].lo);
+    const auto hi = static_cast<std::int64_t>(src.box().extent[d].hi);
+    inside[d] = static_cast<std::uint64_t>(std::clamp(idx[d], lo, hi - 1));
+  }
+  return src.at(inside[0], inside[1], inside[2]);
+}
+
+void reference_step(Fields& fields, int iteration) {
+  const float dt = 0.1f;
+  const float kappa = 0.15f;
+  const auto& e = fields[0].box().extent;
+  const float source_phase = 0.05f * static_cast<float>(iteration);
+  Fields next = fields;
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    const auto& src = fields[f];
+    auto& dst = next[f];
+    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
+      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
+        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
+          const auto si = static_cast<std::int64_t>(i);
+          const auto sj = static_cast<std::int64_t>(j);
+          const auto sk = static_cast<std::int64_t>(k);
+          const float center = src.at(i, j, k);
+          const float lap = reference_sample(src, si - 1, sj, sk) +
+                            reference_sample(src, si + 1, sj, sk) +
+                            reference_sample(src, si, sj - 1, sk) +
+                            reference_sample(src, si, sj + 1, sk) +
+                            reference_sample(src, si, sj, sk - 1) +
+                            reference_sample(src, si, sj, sk + 1) -
+                            6.0f * center;
+          float value = center + dt * kappa * lap;
+          const float w = of(fields, astro3d::Field::kUz).at(i, j, k);
+          const float below = reference_sample(src, si, sj, sk - 1);
+          const float above = reference_sample(src, si, sj, sk + 1);
+          const float upwind = w > 0 ? center - below : above - center;
+          value -= dt * w * upwind;
+          dst.at(i, j, k) = value;
+        }
+      }
+    }
+  }
+  fields = std::move(next);
+  auto& temp = fields[static_cast<std::size_t>(astro3d::Field::kTemp)];
+  auto& press = fields[static_cast<std::size_t>(astro3d::Field::kPress)];
+  for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
+    for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
+      for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
+        const float heat =
+            0.02f * std::sin(source_phase + 0.1f * static_cast<float>(i + j + k));
+        temp.at(i, j, k) += heat;
+        press.at(i, j, k) += 0.5f * heat;
+      }
+    }
+  }
+}
+
+std::vector<std::uint8_t> reference_render(const Fields& fields,
+                                           const std::string& vr_name) {
+  const auto& e = fields[0].box().extent;
+  std::vector<float> values;
+  auto push_all = [&](auto&& fn) {
+    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
+      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
+        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
+          values.push_back(fn(i, j, k));
+        }
+      }
+    }
+  };
+  const auto& rho = of(fields, astro3d::Field::kRho);
+  const auto& temp = of(fields, astro3d::Field::kTemp);
+  const auto& press = of(fields, astro3d::Field::kPress);
+  const auto& ux = of(fields, astro3d::Field::kUx);
+  const auto& uy = of(fields, astro3d::Field::kUy);
+  const auto& uz = of(fields, astro3d::Field::kUz);
+  if (vr_name == "vr_scalar" || vr_name == "vr_temp") {
+    push_all([&](auto i, auto j, auto k) { return temp.at(i, j, k); });
+  } else if (vr_name == "vr_press") {
+    push_all([&](auto i, auto j, auto k) { return press.at(i, j, k); });
+  } else if (vr_name == "vr_rho") {
+    push_all([&](auto i, auto j, auto k) { return rho.at(i, j, k); });
+  } else if (vr_name == "vr_mach") {
+    push_all([&](auto i, auto j, auto k) {
+      const float u2 = ux.at(i, j, k) * ux.at(i, j, k) +
+                       uy.at(i, j, k) * uy.at(i, j, k) +
+                       uz.at(i, j, k) * uz.at(i, j, k);
+      const float c2 = std::max(1e-6f, press.at(i, j, k) /
+                                           std::max(1e-6f, rho.at(i, j, k)));
+      return std::sqrt(u2 / c2);
+    });
+  } else if (vr_name == "vr_ek") {
+    push_all([&](auto i, auto j, auto k) {
+      const float u2 = ux.at(i, j, k) * ux.at(i, j, k) +
+                       uy.at(i, j, k) * uy.at(i, j, k) +
+                       uz.at(i, j, k) * uz.at(i, j, k);
+      return 0.5f * rho.at(i, j, k) * u2;
+    });
+  } else {  // vr_logrho
+    push_all([&](auto i, auto j, auto k) {
+      return std::log(std::max(1e-6f, rho.at(i, j, k)));
+    });
+  }
+  float lo = values[0], hi = values[0];
+  for (float v : values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  const float scale = hi > lo ? 255.0f / (hi - lo) : 0.0f;
+  std::vector<std::uint8_t> out(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>((values[i] - lo) * scale);
+  }
+  return out;
+}
+
+Fields fields_of(const astro3d::State& state) {
+  Fields out;
+  for (std::size_t f = 0; f < out.size(); ++f) {
+    out[f] = state.field(static_cast<astro3d::Field>(f));
+  }
+  return out;
+}
+
+// Fills every field with a reproducible value in [-1, 1) per global cell,
+// whatever the decomposition: rough fields, and uz of both signs, so the
+// upwind difference takes both sides.
+void scramble(astro3d::State& state) {
+  const auto& e = state.box().extent;
+  for (int f = 0; f < astro3d::kNumFields; ++f) {
+    auto& field = state.field(static_cast<astro3d::Field>(f));
+    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
+      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
+        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
+          std::uint64_t x = (((static_cast<std::uint64_t>(f) * 1000003 + i) *
+                                  1000003 + j) * 1000003 + k) + 1;
+          x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdULL;
+          x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+          x ^= x >> 33;
+          field.at(i, j, k) = static_cast<float>(x >> 40) * 0x1.0p-23f - 1.0f;
+        }
+      }
+    }
+  }
+}
+
+// True when `mine` holds exactly the bits of `ref` over mine's box.
+bool same_bits(const prt::Array3D<float>& mine,
+               const prt::Array3D<float>& ref) {
+  std::vector<float> window;
+  const auto& e = mine.box().extent;
+  for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
+    for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
+      for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
+        window.push_back(ref.at(i, j, k));
+      }
+    }
+  }
+  return window.size() == mine.volume() &&
+         std::memcmp(window.data(), mine.flat().data(),
+                     window.size() * sizeof(float)) == 0;
+}
+
+std::string dims_name(const std::array<std::uint64_t, 3>& dims) {
+  return std::to_string(dims[0]) + "x" + std::to_string(dims[1]) + "x" +
+         std::to_string(dims[2]);
+}
+
+// One rank: every ghost plane is a clamp. Odd extents, and extents of 1, 2
+// and 3 in each position, from the smooth initial condition and scrambled.
+TEST(Astro3DTest, PaddedSweepMatchesPerCellKernelSerially) {
+  const std::array<std::uint64_t, 3> shapes[] = {
+      {7, 5, 9}, {1, 1, 1}, {1, 2, 3}, {3, 1, 2}, {2, 3, 1},
+      {1, 7, 1}, {2, 2, 2}, {3, 3, 3}, {12, 10, 8}};
+  for (const auto& dims : shapes) {
+    for (const bool smooth : {true, false}) {
+      auto decomp = prt::Decomposition::create(dims, 1, "BBB");
+      ASSERT_TRUE(decomp.ok());
+      astro3d::State state(*decomp, 0);
+      if (smooth) {
+        state.initialize(dims);
+      } else {
+        scramble(state);
+      }
+      Fields reference = fields_of(state);
+      for (int it = 1; it <= 10; ++it) {
+        state.step(it);
+        reference_step(reference, it);
+      }
+      for (int f = 0; f < astro3d::kNumFields; ++f) {
+        EXPECT_TRUE(same_bits(state.field(static_cast<astro3d::Field>(f)),
+                              reference[static_cast<std::size_t>(f)]))
+            << dims_name(dims) << (smooth ? " smooth" : " scrambled")
+            << " field " << f;
+      }
+    }
+  }
+}
+
+// Several ranks: every ghost plane inside the domain holds a neighbor's
+// face, and the result is still the serial reference's, bit for bit. The
+// shapes include boxes one cell thick in each split dimension.
+TEST(Astro3DTest, PaddedSweepMatchesPerCellKernelAcrossRanks) {
+  const std::array<std::uint64_t, 3> shapes[] = {
+      {12, 10, 8}, {3, 5, 7}, {2, 3, 4}, {6, 2, 3}, {2, 2, 3}, {4, 6, 2}};
+  std::array<int, 3> thin = {0, 0, 0};
+  for (const int nprocs : {2, 3, 4, 6, 8}) {
+    for (const auto& dims : shapes) {
+      auto decomp = prt::Decomposition::create(dims, nprocs, "BBB");
+      if (!decomp.ok()) continue;  // more ranks than cells along a dimension
+      for (int rank = 0; rank < nprocs; ++rank) {
+        const prt::LocalBox box = decomp->local_box(rank);
+        for (std::size_t d = 0; d < 3; ++d) {
+          if (decomp->grid().shape[d] > 1 && box.extent[d].size() == 1) {
+            ++thin[d];
+          }
+        }
+      }
+      auto serial = prt::Decomposition::create(dims, 1, "BBB");
+      ASSERT_TRUE(serial.ok());
+      astro3d::State whole(*serial, 0);
+      scramble(whole);
+      Fields reference = fields_of(whole);
+      for (int it = 1; it <= 8; ++it) reference_step(reference, it);
+
+      std::mutex mismatch_mutex;
+      std::vector<std::string> mismatches;
+      prt::World world(nprocs);
+      world.run([&](prt::Comm& comm) {
+        astro3d::State state(*decomp, comm.rank());
+        scramble(state);
+        for (int it = 1; it <= 8; ++it) state.step(it, &comm);
+        for (int f = 0; f < astro3d::kNumFields; ++f) {
+          if (same_bits(state.field(static_cast<astro3d::Field>(f)),
+                        reference[static_cast<std::size_t>(f)])) {
+            continue;
+          }
+          std::lock_guard<std::mutex> lock(mismatch_mutex);
+          mismatches.push_back("rank " + std::to_string(comm.rank()) +
+                               " field " + std::to_string(f));
+        }
+      });
+      EXPECT_TRUE(mismatches.empty())
+          << dims_name(dims) << " on " << nprocs << " ranks: "
+          << mismatches.size() << " mismatches; first: " << mismatches.front();
+    }
+  }
+  for (std::size_t d = 0; d < 3; ++d) {
+    EXPECT_GT(thin[d], 0) << "no box one cell thick in split dim " << d;
+  }
+}
+
+TEST(Astro3DTest, RenderFieldMatchesPerCellReference) {
+  const std::array<std::uint64_t, 3> dims = {7, 5, 6};
+  auto decomp = prt::Decomposition::create(dims, 1, "BBB");
+  ASSERT_TRUE(decomp.ok());
+  for (const bool smooth : {true, false}) {
+    astro3d::State state(*decomp, 0);
+    if (smooth) {
+      state.initialize(dims);
+    } else {
+      scramble(state);
+    }
+    for (int it = 1; it <= 3; ++it) state.step(it);
+    const Fields fields = fields_of(state);
+    for (const auto& name : astro3d::viz_names()) {
+      EXPECT_EQ(state.render_field(name), reference_render(fields, name))
+          << name << (smooth ? " smooth" : " scrambled");
+    }
   }
 }
 
@@ -247,13 +537,18 @@ TEST(VizlibTest, IsosurfaceCountsStraddlingCells) {
 }
 
 TEST(VizlibTest, HistogramBinsAndClamps) {
-  std::vector<float> volume = {-10.0f, 0.05f, 0.15f, 0.95f, 10.0f};
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> volume = {-10.0f, 0.05f, 0.15f, 0.95f, 10.0f,
+                               // Scaled far past any integer range.
+                               2.0f, 1e30f, inf, -1e30f, -inf,
+                               std::numeric_limits<float>::quiet_NaN()};
   auto hist = vizlib::field_histogram(volume, 0.0f, 1.0f, 10);
   EXPECT_EQ(hist.size(), 10u);
-  EXPECT_EQ(hist[0], 2u);  // -10 clamped + 0.05
+  EXPECT_EQ(hist[0], 4u);  // -10, -1e30 and -inf clamped + 0.05
   EXPECT_EQ(hist[1], 1u);
-  EXPECT_EQ(hist[9], 2u);  // 0.95 + 10 clamped
-  EXPECT_EQ(std::accumulate(hist.begin(), hist.end(), 0ull), 5ull);
+  EXPECT_EQ(hist[9], 5u);  // 0.95 + 10, 2, 1e30 and inf clamped
+  // The NaN lands in no bin.
+  EXPECT_EQ(std::accumulate(hist.begin(), hist.end(), 0ull), 10ull);
 }
 
 // ------------------------------------------------ end-to-end pipeline ----
@@ -398,7 +693,7 @@ TEST_P(HaloEquivalence, ParallelMatchesSerialBitForBit) {
   ASSERT_TRUE(serial_decomp.ok());
   astro3d::State reference(*serial_decomp, 0);
   reference.initialize(dims);
-  for (int it = 1; it <= 6; ++it) reference.step(dims, it);
+  for (int it = 1; it <= 6; ++it) reference.step(it);
 
   // Parallel run with ghost exchange.
   auto decomp = prt::Decomposition::create(dims, nprocs, "BBB");
@@ -409,7 +704,7 @@ TEST_P(HaloEquivalence, ParallelMatchesSerialBitForBit) {
   world.run([&](prt::Comm& comm) {
     astro3d::State state(*decomp, comm.rank());
     state.initialize(dims);
-    for (int it = 1; it <= 6; ++it) state.step(dims, it, &comm);
+    for (int it = 1; it <= 6; ++it) state.step(it, &comm);
     // Compare this rank's block against the reference.
     const prt::LocalBox box = decomp->local_box(comm.rank());
     for (int f = 0; f < astro3d::kNumFields; ++f) {
