@@ -7,6 +7,7 @@
 #include <cstring>
 #include <span>
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "prt/comm.h"
 
@@ -202,7 +203,7 @@ void State::exchange_halo(prt::Comm& comm, Field f) {
     for (int s = 0; s < 2; ++s) {
       const int neighbor = neighbor_[d][static_cast<std::size_t>(s)];
       if (neighbor < 0) continue;
-      std::vector<std::byte> bytes(face[0] * face[1] * face[2] * sizeof(float));
+      ByteBuffer bytes(face[0] * face[1] * face[2] * sizeof(float));
       copy_rows(src + layout.box_face(d, s), layout.box, bytes.data(),
                 dense(face), face);
       comm.send(neighbor, base_tag + static_cast<int>(d) * 2 + s,

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/session.h"
 #include "obs/trace.h"
 #include "simkit/timeline.h"
@@ -94,7 +95,7 @@ class TenantContext {
 /// buffers it transfers, owned here so they stay alive across yields.
 struct StagedIo {
   StagedAccess access;
-  std::vector<std::byte> out;  ///< receives read payloads
+  ByteBuffer out;              ///< receives read payloads (each read in full)
   std::vector<std::byte> in;   ///< feeds write payloads
   std::string span_label;      ///< tracer span around the whole access ("" = none)
 };

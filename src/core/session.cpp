@@ -205,7 +205,7 @@ Status DatasetHandle::write_with_failover(prt::Comm& comm, int timestep,
 
     // Rank 0 picks the next address (class, server); everyone follows its
     // decision.
-    std::vector<std::byte> decision(2, std::byte{0xFF});
+    ByteBuffer decision(2, std::byte{0xFF});
     if (comm.rank() == 0) {
       for (ReplicaAddress candidate : ordered_candidate_addresses(
                address_, session_->system_.cluster_size())) {
@@ -252,7 +252,7 @@ Status DatasetHandle::write_subfiled(prt::Comm& comm, const std::string& base,
   auto gathered = comm.gatherv(local, 0, &sizes);
   Status status = Status::Ok();
   if (comm.rank() == 0) {
-    std::vector<std::byte> global(lay.global_bytes());
+    ByteBuffer global(lay.global_bytes());  // every rank's box covers it
     const std::size_t elem = lay.elem_size;
     std::uint64_t slot_base = 0;
     for (int r = 0; r < comm.size(); ++r) {
@@ -390,7 +390,7 @@ Status DatasetHandle::replicate_timestep(int timestep,
     // Different servers (or one side local): stream through the client,
     // one whole-object plan per side.
     runtime::StorageEndpoint& src = session_->system_.endpoint(source.address);
-    std::vector<std::byte> payload(source.record.bytes);
+    ByteBuffer payload(source.record.bytes);  // read in full before the write
     obs::TraceRecorder* tracer = &session_->system_.tracer();
     MSRA_RETURN_IF_ERROR(runtime::PlanExecutor::execute(
         runtime::PlanBuilder::object_read(source.record.path,
@@ -427,7 +427,7 @@ Status DatasetHandle::read_timestep(prt::Comm& comm, int timestep,
   // Subfile datasets: root reads the touched chunks (all of them for a full
   // read), then scatters blocks.
   Status status = Status::Ok();
-  std::vector<std::vector<std::byte>> chunks;
+  std::vector<ByteBuffer> chunks;
   if (comm.rank() == 0) {
     auto sublayout = runtime::SubfileLayout::create(spec(), subfile_chunks_);
     if (!sublayout.ok()) {
@@ -435,7 +435,7 @@ Status DatasetHandle::read_timestep(prt::Comm& comm, int timestep,
     } else {
       prt::LocalBox full;
       for (std::size_t d = 0; d < 3; ++d) full.extent[d] = {0, desc_.dims[d]};
-      std::vector<std::byte> global(lay.global_bytes());
+      ByteBuffer global(lay.global_bytes());  // the read fills it
       status = runtime::read_subfiles_box(endpoint, comm.timeline(), record.path,
                                           *sublayout, full, global);
       if (status.ok()) {
@@ -461,7 +461,7 @@ Status DatasetHandle::read_timestep(prt::Comm& comm, int timestep,
   net::WireReader r(payload);
   status = srb::proto::get_status(r);
   if (status.ok()) {
-    auto mine = comm.scatterv(chunks, 0);
+    auto mine = comm.scatterv(std::move(chunks), 0);
     if (mine.size() != local.size()) {
       status = Status::Internal("scatter size mismatch");
     } else {

@@ -1,8 +1,12 @@
 // Wire-format serialization for the SRB-like client/server protocol.
 //
 // Little-endian, length-prefixed primitives. Requests and responses are real
-// byte buffers, so the protocol layer is genuinely exercised even though
-// transport is in-process.
+// byte buffers (ByteBuffer), so the protocol layer is genuinely exercised even
+// though transport is in-process. A payload is copied once per hop: the
+// writer copies it into the message (put_bytes) or hands its bytes to the
+// producer to fill in place (put_bytes_in_place); the reader hands out a view
+// into the message (get_bytes_view) or copies it straight into the consumer's
+// buffer (get_bytes_into).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 
 namespace msra::net {
@@ -35,7 +40,18 @@ class WireWriter {
     put_raw(data.data(), data.size());
   }
 
-  std::vector<std::byte> take() { return std::move(buf_); }
+  /// Appends the length prefix of an `n`-byte payload and returns the
+  /// payload's bytes for its producer to fill in place. They are not
+  /// zero-filled: every one must be written before the message is sent.
+  /// The span is valid until the next put_* or take().
+  std::span<std::byte> put_bytes_in_place(std::uint64_t n) {
+    put_u64(n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return std::span<std::byte>(buf_).subspan(at);
+  }
+
+  ByteBuffer take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
  private:
@@ -43,11 +59,14 @@ class WireWriter {
     const auto* b = static_cast<const std::byte*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
-  std::vector<std::byte> buf_;
+  ByteBuffer buf_;
 };
 
 /// Consumes primitives from a byte buffer; all getters fail with
-/// kOutOfRange on truncated input (no UB on malformed messages).
+/// kOutOfRange on truncated input, including a length prefix larger than
+/// what is left of the message (no UB and no exception on malformed
+/// messages). Lengths are compared against remaining(), never added to the
+/// position, so a prefix near 2^64 cannot wrap past the check.
 class WireReader {
  public:
   explicit WireReader(std::span<const std::byte> data) : data_(data) {}
@@ -61,28 +80,37 @@ class WireReader {
 
   StatusOr<std::string> get_string() {
     MSRA_ASSIGN_OR_RETURN(std::uint32_t n, get_u32());
-    if (pos_ + n > data_.size()) return StatusOr<std::string>(truncated());
+    if (n > remaining()) return StatusOr<std::string>(truncated());
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
   }
 
-  StatusOr<std::vector<std::byte>> get_bytes() {
+  /// A view of the next byte payload inside the message (no copy); valid
+  /// as long as the message buffer is.
+  StatusOr<std::span<const std::byte>> get_bytes_view() {
     MSRA_ASSIGN_OR_RETURN(std::uint64_t n, get_u64());
-    if (pos_ + n > data_.size()) {
-      return StatusOr<std::vector<std::byte>>(truncated());
+    if (n > remaining()) {
+      return StatusOr<std::span<const std::byte>>(truncated());
     }
-    std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const std::span<const std::byte> view = data_.subspan(pos_, n);
     pos_ += n;
-    return out;
+    return view;
   }
 
-  /// Reads a byte payload directly into `out` (avoids a copy for bulk data).
+  /// An owned copy of the next byte payload, for values that outlive the
+  /// message (e.g. decoded table cells).
+  StatusOr<std::vector<std::byte>> get_bytes() {
+    MSRA_ASSIGN_OR_RETURN(std::span<const std::byte> view, get_bytes_view());
+    return std::vector<std::byte>(view.begin(), view.end());
+  }
+
+  /// Copies the next byte payload straight into `out`, whose size must
+  /// match the payload's.
   Status get_bytes_into(std::span<std::byte> out) {
     MSRA_ASSIGN_OR_RETURN(std::uint64_t n, get_u64());
     if (n != out.size()) return Status::InvalidArgument("payload size mismatch");
-    if (pos_ + n > data_.size()) return truncated();
+    if (n > remaining()) return truncated();
     // n == 0 with an empty span: out.data() may be null.
     if (n != 0) std::memcpy(out.data(), data_.data() + pos_, n);
     pos_ += n;
@@ -95,7 +123,7 @@ class WireReader {
  private:
   template <typename T>
   StatusOr<T> get_scalar() {
-    if (pos_ + sizeof(T) > data_.size()) return StatusOr<T>(truncated());
+    if (sizeof(T) > remaining()) return StatusOr<T>(truncated());
     T v;
     std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);

@@ -1,18 +1,30 @@
 #include "predict/ptool.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "common/bytes.h"
 #include "cache/cache.h"
 #include "runtime/endpoint.h"
 
 namespace msra::predict {
 
 namespace {
-std::vector<std::byte> probe_payload(std::uint64_t bytes) {
-  std::vector<std::byte> out(bytes);
-  for (std::uint64_t i = 0; i < bytes; ++i) {
+/// Byte i of a probe is i·131+7 mod 256, a pattern with period 256: write
+/// one period, then double the filled prefix until the buffer is full.
+ByteBuffer probe_payload(std::uint64_t bytes) {
+  constexpr std::uint64_t kPeriod = 256;
+  ByteBuffer out(bytes);
+  const std::uint64_t first = std::min(bytes, kPeriod);
+  for (std::uint64_t i = 0; i < first; ++i) {
     out[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  // `filled` stays a multiple of the period, so each copy continues it.
+  for (std::uint64_t filled = first; filled < bytes;) {
+    const std::uint64_t n = std::min(filled, bytes - filled);
+    std::memcpy(out.data() + filled, out.data(), n);
+    filled += n;
   }
   return out;
 }

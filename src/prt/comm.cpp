@@ -51,17 +51,15 @@ void Comm::barrier() {
   }
 }
 
-std::vector<std::byte> Comm::bcast(std::vector<std::byte> data, int root) {
+ByteBuffer Comm::bcast(std::span<const std::byte> data, int root) {
   World::Shared& s = world_->shared_;
   if (rank_ == root) {
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.slots[static_cast<std::size_t>(root)] = data;
+    s.slots[static_cast<std::size_t>(root)].assign(data.begin(), data.end());
   }
   barrier();  // payload visible
-  std::vector<std::byte> out;
-  if (rank_ == root) {
-    out = std::move(data);
-  } else {
+  ByteBuffer out;
+  {
     std::lock_guard<std::mutex> lock(s.mutex);
     out = s.slots[static_cast<std::size_t>(root)];
   }
@@ -69,8 +67,8 @@ std::vector<std::byte> Comm::bcast(std::vector<std::byte> data, int root) {
   return out;
 }
 
-std::vector<std::byte> Comm::gatherv(std::span<const std::byte> contribution,
-                                     int root, std::vector<std::uint64_t>* sizes) {
+ByteBuffer Comm::gatherv(std::span<const std::byte> contribution, int root,
+                         std::vector<std::uint64_t>* sizes) {
   World::Shared& s = world_->shared_;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -78,7 +76,7 @@ std::vector<std::byte> Comm::gatherv(std::span<const std::byte> contribution,
                                                     contribution.end());
   }
   barrier();
-  std::vector<std::byte> out;
+  ByteBuffer out;
   if (rank_ == root) {
     std::lock_guard<std::mutex> lock(s.mutex);
     if (sizes) sizes->clear();
@@ -94,8 +92,8 @@ std::vector<std::byte> Comm::gatherv(std::span<const std::byte> contribution,
   return out;
 }
 
-std::vector<std::byte> Comm::allgatherv(std::span<const std::byte> contribution,
-                                        std::vector<std::uint64_t>* sizes) {
+ByteBuffer Comm::allgatherv(std::span<const std::byte> contribution,
+                            std::vector<std::uint64_t>* sizes) {
   World::Shared& s = world_->shared_;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -103,7 +101,7 @@ std::vector<std::byte> Comm::allgatherv(std::span<const std::byte> contribution,
                                                     contribution.end());
   }
   barrier();
-  std::vector<std::byte> out;
+  ByteBuffer out;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     if (sizes) sizes->clear();
@@ -119,16 +117,17 @@ std::vector<std::byte> Comm::allgatherv(std::span<const std::byte> contribution,
   return out;
 }
 
-std::vector<std::byte> Comm::scatterv(
-    const std::vector<std::vector<std::byte>>& chunks, int root) {
+ByteBuffer Comm::scatterv(std::vector<ByteBuffer> chunks, int root) {
   World::Shared& s = world_->shared_;
   if (rank_ == root) {
     assert(chunks.size() == static_cast<std::size_t>(size()));
     std::lock_guard<std::mutex> lock(s.mutex);
-    for (std::size_t i = 0; i < chunks.size(); ++i) s.slots[i] = chunks[i];
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      s.slots[i] = std::move(chunks[i]);
+    }
   }
   barrier();
-  std::vector<std::byte> out;
+  ByteBuffer out;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     out = std::move(s.slots[static_cast<std::size_t>(rank_)]);
@@ -180,7 +179,7 @@ std::uint64_t Comm::allreduce_sum_u64(std::uint64_t value) {
   return sum;
 }
 
-void Comm::send(int dst, int tag, std::vector<std::byte> data) {
+void Comm::send(int dst, int tag, ByteBuffer data) {
   World::Shared& s = world_->shared_;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -189,7 +188,7 @@ void Comm::send(int dst, int tag, std::vector<std::byte> data) {
   s.cv.notify_all();
 }
 
-std::vector<std::byte> Comm::recv(int src, int tag) {
+ByteBuffer Comm::recv(int src, int tag) {
   World::Shared& s = world_->shared_;
   std::unique_lock<std::mutex> lock(s.mutex);
   auto key = std::make_tuple(src, rank_, tag);
@@ -198,7 +197,7 @@ std::vector<std::byte> Comm::recv(int src, int tag) {
     return it != s.mailboxes.end() && !it->second.empty();
   });
   auto& queue = s.mailboxes[key];
-  std::vector<std::byte> out = std::move(queue.front());
+  ByteBuffer out = std::move(queue.front());
   queue.pop_front();
   return out;
 }

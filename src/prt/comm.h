@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/bytes.h"
 #include "simkit/timeline.h"
 
 namespace msra::prt {
@@ -52,11 +53,11 @@ class World {
     int barrier_count = 0;
     std::uint64_t barrier_generation = 0;
     // Collective scratch: per-rank byte slots + scalar reduction slots.
-    std::vector<std::vector<std::byte>> slots;
+    std::vector<ByteBuffer> slots;
     double reduce_double = 0.0;
     std::uint64_t reduce_u64 = 0;
     // Point-to-point mailboxes keyed by (src, dst, tag).
-    std::map<std::tuple<int, int, int>, std::deque<std::vector<std::byte>>> mailboxes;
+    std::map<std::tuple<int, int, int>, std::deque<ByteBuffer>> mailboxes;
     // in_time_order turnstile: each rank's clock and whether it still steps.
     std::vector<simkit::SimTime> turn_clock;
     std::vector<bool> turn_active;
@@ -79,21 +80,21 @@ class Comm {
 
   /// Root's bytes are copied to every rank. All ranks must pass the same
   /// root. Returns the broadcast payload.
-  std::vector<std::byte> bcast(std::vector<std::byte> data, int root);
+  ByteBuffer bcast(std::span<const std::byte> data, int root);
 
   /// Concatenates every rank's contribution in rank order at `root`
-  /// (non-root ranks receive an empty vector). Also returns per-rank sizes
+  /// (non-root ranks receive an empty buffer). Also returns per-rank sizes
   /// through `sizes` when non-null.
-  std::vector<std::byte> gatherv(std::span<const std::byte> contribution, int root,
-                                 std::vector<std::uint64_t>* sizes = nullptr);
+  ByteBuffer gatherv(std::span<const std::byte> contribution, int root,
+                     std::vector<std::uint64_t>* sizes = nullptr);
 
   /// Every rank receives the concatenation (gatherv + bcast semantics).
-  std::vector<std::byte> allgatherv(std::span<const std::byte> contribution,
-                                    std::vector<std::uint64_t>* sizes = nullptr);
+  ByteBuffer allgatherv(std::span<const std::byte> contribution,
+                        std::vector<std::uint64_t>* sizes = nullptr);
 
-  /// Scatter in rank order from root: rank i receives chunks[i].
-  std::vector<std::byte> scatterv(const std::vector<std::vector<std::byte>>& chunks,
-                                  int root);
+  /// Scatter in rank order from root: rank i receives chunks[i], moved
+  /// (not copied) out of the root's vector.
+  ByteBuffer scatterv(std::vector<ByteBuffer> chunks, int root);
 
   /// All-reduce over doubles / counters.
   double allreduce_max(double value);
@@ -102,8 +103,8 @@ class Comm {
 
   /// Point-to-point. Tags disambiguate concurrent streams; matching is FIFO
   /// per (src, dst, tag).
-  void send(int dst, int tag, std::vector<std::byte> data);
-  std::vector<std::byte> recv(int src, int tag);
+  void send(int dst, int tag, ByteBuffer data);
+  ByteBuffer recv(int src, int tag);
 
   /// Joins simulated clocks: every rank's timeline advances to the global
   /// maximum (the virtual-time analogue of a synchronizing collective).

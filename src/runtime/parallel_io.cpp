@@ -139,8 +139,9 @@ Status write_collective(StorageEndpoint& endpoint, prt::Comm& comm,
   if (comm.rank() == kRoot) {
     record_phase(endpoint, "collective.write.exchange_time",
                  comm.timeline().now() - phase_start);
-    // Phase 2: reassemble the global row-major buffer.
-    std::vector<std::byte> global(layout.global_bytes());
+    // Phase 2: reassemble the global row-major buffer. The ranks' boxes
+    // partition it, so every byte is copied in once (no zero-fill).
+    ByteBuffer global(layout.global_bytes());
     std::uint64_t slot_base = 0;
     const std::size_t elem = layout.elem_size;
     for (int r = 0; r < comm.size(); ++r) {
@@ -208,10 +209,10 @@ Status write_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
   }
 
   // Phase 1: every rank sends each aggregator the pieces of its runs that
-  // fall into that aggregator's range (one message per pair, possibly empty).
+  // fall into that aggregator's range (one message per pair, possibly
+  // empty): (global offset, count, payload) triples until the message ends.
   const simkit::SimTime exchange_start = comm.timeline().now();
   std::vector<net::WireWriter> outbound(static_cast<std::size_t>(aggregators));
-  std::vector<std::uint32_t> run_counts(static_cast<std::size_t>(aggregators), 0);
   for_each_run(layout.decomp, box,
                [&](std::uint64_t goff, std::uint64_t count, std::uint64_t loff) {
                  for (int a = 0; a < aggregators; ++a) {
@@ -224,34 +225,24 @@ Status write_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
                    w.put_u64(hi - lo);
                    const std::uint64_t local_off = loff + (lo - goff);
                    w.put_bytes(local.subspan(local_off * elem, (hi - lo) * elem));
-                   ++run_counts[static_cast<std::size_t>(a)];
                  }
                });
   for (int a = 0; a < aggregators; ++a) {
-    net::WireWriter framed;
-    framed.put_u32(run_counts[static_cast<std::size_t>(a)]);
-    auto body = outbound[static_cast<std::size_t>(a)].take();
-    framed.put_bytes(body);
-    comm.send(a, kShuffleTag, framed.take());
+    comm.send(a, kShuffleTag, outbound[static_cast<std::size_t>(a)].take());
   }
 
-  // Phase 2: aggregators assemble and write their contiguous range.
+  // Phase 2: aggregators assemble and write their contiguous range. The
+  // ranks' pieces partition it, so every byte is copied in once (no
+  // zero-fill); a bad message fails the write before any byte is sent.
   std::optional<IoPlan> plan;  // set on aggregators whose shuffle arrived
-  std::vector<std::byte> buffer;
+  ByteBuffer buffer;
   if (comm.rank() < aggregators) {
     const auto& range = ranges[static_cast<std::size_t>(comm.rank())].elems;
     buffer.resize(range.size() * elem);
     for (int r = 0; r < comm.size() && status.ok(); ++r) {
       auto message = comm.recv(r, kShuffleTag);
-      net::WireReader reader(message);
-      auto count = reader.get_u32();
-      auto body = reader.get_bytes();
-      if (!count.ok() || !body.ok()) {
-        status = Status::Internal("bad shuffle message");
-        break;
-      }
-      net::WireReader runs(*body);
-      for (std::uint32_t i = 0; i < *count && status.ok(); ++i) {
+      net::WireReader runs(message);
+      while (!runs.exhausted() && status.ok()) {
         auto goff = runs.get_u64();
         auto n = runs.get_u64();
         if (!goff.ok() || !n.ok()) {
@@ -296,7 +287,7 @@ Status read_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
   // Phase 1: aggregators read their contiguous range and deliver each
   // rank's pieces.
   std::optional<IoPlan> plan;  // set on aggregators
-  std::vector<std::byte> buffer;
+  ByteBuffer buffer;           // the read fills it; a failed one is not sent
   if (comm.rank() < aggregators) {
     const auto& range = ranges[static_cast<std::size_t>(comm.rank())].elems;
     buffer.resize(range.size() * elem);
@@ -311,10 +302,11 @@ Status read_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
     record_phase(endpoint, "collective.read.io_time",
                  comm.timeline().now() - io_start);
     const simkit::SimTime exchange_start = comm.timeline().now();
+    // Each message: an ok flag, then (local offset, count, payload)
+    // triples until it ends.
     for (int r = 0; r < comm.size(); ++r) {
       net::WireWriter w;
-      std::uint32_t runs = 0;
-      net::WireWriter body;
+      w.put_u8(status.ok() ? 1 : 0);
       if (status.ok()) {
         const prt::LocalBox rbox = layout.decomp.local_box(r);
         for_each_run(layout.decomp, rbox,
@@ -323,18 +315,13 @@ Status read_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
                        const std::uint64_t lo = std::max(goff, range.lo);
                        const std::uint64_t hi = std::min(goff + count, range.hi);
                        if (lo >= hi) return;
-                       body.put_u64(loff + (lo - goff));
-                       body.put_u64(hi - lo);
-                       body.put_bytes(std::span<const std::byte>(
+                       w.put_u64(loff + (lo - goff));
+                       w.put_u64(hi - lo);
+                       w.put_bytes(std::span<const std::byte>(
                            buffer.data() + (lo - range.lo) * elem,
                            (hi - lo) * elem));
-                       ++runs;
                      });
       }
-      w.put_u8(status.ok() ? 1 : 0);
-      w.put_u32(runs);
-      auto bytes = body.take();
-      w.put_bytes(bytes);
       comm.send(r, kDeliverTag, w.take());
     }
     record_phase(endpoint, "collective.read.exchange_time",
@@ -344,11 +331,9 @@ Status read_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
   // Phase 2: every rank assembles its block from the aggregators' pieces.
   for (int a = 0; a < aggregators; ++a) {
     auto message = comm.recv(a, kDeliverTag);
-    net::WireReader reader(message);
-    auto ok_flag = reader.get_u8();
-    auto runs = reader.get_u32();
-    auto body = reader.get_bytes();
-    if (!ok_flag.ok() || !runs.ok() || !body.ok()) {
+    net::WireReader pieces(message);
+    auto ok_flag = pieces.get_u8();
+    if (!ok_flag.ok()) {
       status = Status::Internal("bad deliver message");
       continue;
     }
@@ -356,8 +341,7 @@ Status read_collective_multi(StorageEndpoint& endpoint, prt::Comm& comm,
       if (status.ok()) status = Status::Internal("aggregator read failed");
       continue;
     }
-    net::WireReader pieces(*body);
-    for (std::uint32_t i = 0; i < *runs && status.ok(); ++i) {
+    while (!pieces.exhausted() && status.ok()) {
       auto loff = pieces.get_u64();
       auto count = pieces.get_u64();
       if (!loff.ok() || !count.ok()) {
@@ -404,9 +388,11 @@ Status read_collective(StorageEndpoint& endpoint, prt::Comm& comm,
                        std::span<std::byte> local) {
   constexpr int kRoot = 0;
   Status status = Status::Ok();
-  std::vector<std::vector<std::byte>> chunks;
+  // Neither buffer is zero-filled: the read fills `global`, and each rank's
+  // box covers its chunk.
+  std::vector<ByteBuffer> chunks;
   if (comm.rank() == kRoot) {
-    std::vector<std::byte> global(layout.global_bytes());
+    ByteBuffer global(layout.global_bytes());
     const simkit::SimTime io_start = comm.timeline().now();
     const IoPlan plan = PlanBuilder::object_read(path, layout.global_bytes());
     status = PlanExecutor::execute(plan, endpoint, comm.timeline(), global, {});
@@ -431,7 +417,7 @@ Status read_collective(StorageEndpoint& endpoint, prt::Comm& comm,
   status = bcast_status(comm, status, kRoot);
   if (status.ok()) {
     const simkit::SimTime exchange_start = comm.timeline().now();
-    auto mine = comm.scatterv(chunks, kRoot);
+    auto mine = comm.scatterv(std::move(chunks), kRoot);
     if (comm.rank() == kRoot) {
       record_phase(endpoint, "collective.read.exchange_time",
                    comm.timeline().now() - exchange_start);

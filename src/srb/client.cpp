@@ -4,8 +4,8 @@
 
 namespace msra::srb {
 
-StatusOr<std::vector<std::byte>> SrbClient::call(simkit::Timeline& timeline,
-                                                 std::vector<std::byte> request) {
+StatusOr<ByteBuffer> SrbClient::call(simkit::Timeline& timeline,
+                                     const ByteBuffer& request) {
   if (!connected()) {
     return Status::PermissionDenied("client not connected to " + server_->name());
   }
@@ -14,8 +14,7 @@ StatusOr<std::vector<std::byte>> SrbClient::call(simkit::Timeline& timeline,
       link_->transmit_at(timeline.now(), request.size() + kMessageOverheadBytes);
   // Server executes at the arrival time.
   simkit::SimTime completion = arrival;
-  std::vector<std::byte> response =
-      server_->dispatch(request, arrival, &completion);
+  ByteBuffer response = server_->dispatch(request, arrival, &completion);
   // Response travels back.
   const simkit::SimTime back =
       link_->transmit_at(completion, response.size() + kMessageOverheadBytes);
@@ -259,11 +258,10 @@ Status SrbClient::obj_writev(simkit::Timeline& timeline, const std::string& reso
 }
 
 StatusOr<simkit::SimTime> SrbClient::chunk_finish(
-    simkit::SimTime arrival, const std::vector<std::byte>& request,
+    simkit::SimTime arrival, const ByteBuffer& request,
     std::span<std::byte> response_data) {
   simkit::SimTime completion = arrival;
-  std::vector<std::byte> response =
-      server_->dispatch(request, arrival, &completion);
+  ByteBuffer response = server_->dispatch(request, arrival, &completion);
   const simkit::SimTime back =
       link_->transmit_at(completion, response.size() + kMessageOverheadBytes);
   net::WireReader r(response);
@@ -296,7 +294,7 @@ Status SrbClient::read_pipelined(simkit::Timeline& timeline,
   // payload must never queue behind an earlier chunk's (tiny) response on
   // the half-duplex pipe, or the link idles for a server turnaround per
   // chunk and the pipeline degenerates to serial round trips.
-  std::vector<std::vector<std::byte>> requests(nchunks);
+  std::vector<ByteBuffer> requests(nchunks);
   for (std::size_t i = 0; i < nchunks; ++i) {
     const std::uint64_t off = i * chunk;
     const std::uint64_t n = std::min<std::uint64_t>(chunk, out.size() - off);
@@ -357,7 +355,7 @@ Status SrbClient::write_pipelined(simkit::Timeline& timeline,
   // See read_pipelined: forward legs are reserved in client send order, a
   // window ahead of the responses, so the chunk payloads pack back-to-back
   // on the pipe while the server's disk work overlaps with them.
-  std::vector<std::vector<std::byte>> requests(nchunks);
+  std::vector<ByteBuffer> requests(nchunks);
   for (std::size_t i = 0; i < nchunks; ++i) {
     const std::uint64_t off = i * chunk;
     const std::uint64_t n = std::min<std::uint64_t>(chunk, data.size() - off);

@@ -117,8 +117,8 @@ class SrbClient {
 
  private:
   /// Round trip: request over the link, dispatch, response over the link.
-  StatusOr<std::vector<std::byte>> call(simkit::Timeline& timeline,
-                                        std::vector<std::byte> request);
+  StatusOr<ByteBuffer> call(simkit::Timeline& timeline,
+                            const ByteBuffer& request);
 
   /// Completes one positional-chunk round trip whose request arrives at the
   /// server at `arrival` (may be in the client's future: the pipelined path
@@ -126,7 +126,7 @@ class SrbClient {
   /// until the end). Dispatches the request and transmits the response back;
   /// returns the time the response has fully arrived, or an error status.
   StatusOr<simkit::SimTime> chunk_finish(simkit::SimTime arrival,
-                                         const std::vector<std::byte>& request,
+                                         const ByteBuffer& request,
                                          std::span<std::byte> response_data);
 
   /// Physical connection setup/teardown (link + kConnect/kDisconnect RPC),

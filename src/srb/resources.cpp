@@ -187,12 +187,24 @@ StatusOr<std::uint64_t> DiskResource::tell(HandleId handle) const {
   return it->second.pos;
 }
 
+std::uint64_t DiskResource::object_bytes(HandleId handle) const {
+  if (!available()) return 0;
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = handles_.find(handle);
+    if (it == handles_.end()) return 0;
+    path = it->second.path;
+  }
+  return store_->size(path).value_or(0);
+}
+
 Status DiskResource::readv(simkit::Timeline& timeline, HandleId handle,
                            std::span<const IoRun> runs,
                            std::span<std::byte> out) {
   MSRA_RETURN_IF_ERROR(check_available());
   std::size_t filled = 0;
-  std::vector<std::byte> hole;  // read-through scratch, content discarded
+  ByteBuffer hole;  // read-through scratch, content discarded
   for (const IoRun& run : runs) {
     if (filled + run.length > out.size()) {
       return Status::InvalidArgument("readv run list overflows buffer");
@@ -372,6 +384,18 @@ StatusOr<std::uint64_t> TapeResource::tell(HandleId handle) const {
   auto it = handles_.find(handle);
   if (it == handles_.end()) return Status::InvalidArgument("bad handle");
   return it->second.pos;
+}
+
+std::uint64_t TapeResource::object_bytes(HandleId handle) const {
+  if (!available()) return 0;
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = handles_.find(handle);
+    if (it == handles_.end()) return 0;
+    path = it->second.path;
+  }
+  return library_->size(path).value_or(0);
 }
 
 Status TapeResource::remove(const std::string& path) {

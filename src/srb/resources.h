@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "simkit/resource.h"
 #include "srb/fastpath.h"
@@ -79,6 +80,12 @@ class ServerResource {
                         std::span<const IoRun> runs,
                         std::span<const std::byte> data);
 
+  /// Size of the object an open handle reads, or 0 when the resource is
+  /// down, the handle is bad or the object is gone. Free (bookkeeping, no
+  /// device time): the server sizes read payloads by it, not by a
+  /// request's claimed length alone.
+  virtual std::uint64_t object_bytes(HandleId handle) const = 0;
+
   /// Current position of an open handle. Free (pure bookkeeping, no device
   /// time): the pipelined transfer path uses it to chunk a transfer without
   /// mirroring handle state on the client.
@@ -139,6 +146,7 @@ class DiskResource final : public ServerResource {
                std::span<const std::byte> data) override;
   Status close(simkit::Timeline& timeline, HandleId handle) override;
   StatusOr<std::uint64_t> tell(HandleId handle) const override;
+  std::uint64_t object_bytes(HandleId handle) const override;
   /// Disk scheduling over a known access list: a small forward hole is read
   /// through sequentially when that is cheaper than repositioning the arm.
   Status readv(simkit::Timeline& timeline, HandleId handle,
@@ -191,6 +199,7 @@ class TapeResource final : public ServerResource {
                std::span<const std::byte> data) override;
   Status close(simkit::Timeline& timeline, HandleId handle) override;
   StatusOr<std::uint64_t> tell(HandleId handle) const override;
+  std::uint64_t object_bytes(HandleId handle) const override;
   Status remove(const std::string& path) override;
   StatusOr<std::uint64_t> size(const std::string& path) const override;
   std::vector<store::ObjectInfo> list(const std::string& prefix) const override;

@@ -1,5 +1,7 @@
 #include "srb/server.h"
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace msra::srb {
@@ -20,6 +22,23 @@ Status get_status(net::WireReader& r) {
 }
 
 }  // namespace proto
+
+namespace {
+/// The payload a read of `length` bytes may need from an object of `object`
+/// bytes. A longer read fails wherever it starts, and one byte past the
+/// object's size fails it the same way (the resource's own status, before
+/// any device time), so a request's length alone never sizes an allocation.
+std::uint64_t read_bound(std::uint64_t length, std::uint64_t object) {
+  return length > object ? object + 1 : length;
+}
+
+/// Run descriptors a request can still hold: reserve no more than that,
+/// whatever count it claims.
+std::uint64_t runs_left(const net::WireReader& reader, std::uint32_t count) {
+  return std::min<std::uint64_t>(count,
+                                 reader.remaining() / kRunDescriptorBytes);
+}
+}  // namespace
 
 SrbServer::SrbServer(std::string name, ServerConfig config)
     : name_(std::move(name)),
@@ -46,13 +65,13 @@ std::vector<std::string> SrbServer::resource_names() const {
   return out;
 }
 
-std::vector<std::byte> SrbServer::dispatch(std::span<const std::byte> request,
-                                           simkit::SimTime arrival,
-                                           simkit::SimTime* completion) {
+ByteBuffer SrbServer::dispatch(std::span<const std::byte> request,
+                               simkit::SimTime arrival,
+                               simkit::SimTime* completion) {
   simkit::Timeline tl(arrival);
   cpu_.acquire(tl, config_.request_overhead);
   net::WireReader reader(request);
-  std::vector<std::byte> response;
+  ByteBuffer response;
   if (down_) {
     net::WireWriter w;
     proto::put_status(w, Status::Unavailable("server " + name_ + " is down"));
@@ -64,12 +83,26 @@ std::vector<std::byte> SrbServer::dispatch(std::span<const std::byte> request,
   return response;
 }
 
-std::vector<std::byte> SrbServer::handle(net::WireReader& reader,
-                                         simkit::Timeline& tl) {
+ByteBuffer SrbServer::handle(net::WireReader& reader, simkit::Timeline& tl) {
   net::WireWriter w;
+  // Responds with `status` alone, dropping anything already serialized.
   auto fail = [&w](const Status& status) {
+    w = net::WireWriter();
     proto::put_status(w, status);
     return w.take();
+  };
+  // Reads land straight in the response: the status and the length prefix
+  // go first, then `read` fills the payload in place. `bound` (read_bound)
+  // caps the payload; a read it cut short must fail, and a failed read
+  // leaves the status-only response.
+  auto read_reply = [&](std::uint64_t length, std::uint64_t bound,
+                        const auto& read) {
+    proto::put_status(w, Status::Ok());
+    Status status = read(w.put_bytes_in_place(bound));
+    if (status.ok() && bound != length) {
+      status = Status::OutOfRange("object grew while being read");
+    }
+    return status.ok() ? w.take() : fail(status);
   };
 
   auto op_raw = reader.get_u8();
@@ -118,17 +151,16 @@ std::vector<std::byte> SrbServer::handle(net::WireReader& reader,
       }
       ServerResource* r = resource(*rname);
       if (!r) return fail(Status::NotFound("no resource: " + *rname));
-      std::vector<std::byte> buffer(*length);
-      Status status = r->read(tl, *handle, buffer);
-      if (!status.ok()) return fail(status);
-      proto::put_status(w, Status::Ok());
-      w.put_bytes(buffer);
-      return w.take();
+      return read_reply(*length,
+                        read_bound(*length, r->object_bytes(*handle)),
+                        [&](std::span<std::byte> out) {
+                          return r->read(tl, *handle, out);
+                        });
     }
     case Op::kWrite: {
       auto rname = reader.get_string();
       auto handle = reader.get_u64();
-      auto data = reader.get_bytes();
+      auto data = reader.get_bytes_view();
       if (!rname.ok() || !handle.ok() || !data.ok()) {
         return fail(Status::InvalidArgument("bad write request"));
       }
@@ -209,24 +241,30 @@ std::vector<std::byte> SrbServer::handle(net::WireReader& reader,
       }
       ServerResource* r = resource(*rname);
       if (!r) return fail(Status::NotFound("no resource: " + *rname));
+      // Each run is capped like a kRead; the readv then stops at the same
+      // run, with the same status, as it would uncapped.
+      const std::uint64_t object = r->object_bytes(*handle);
       std::vector<IoRun> runs;
-      runs.reserve(*count);
+      runs.reserve(runs_left(reader, *count));
       std::uint64_t total = 0;
+      std::uint64_t bound = 0;
       for (std::uint32_t i = 0; i < *count; ++i) {
         auto offset = reader.get_u64();
         auto length = reader.get_u64();
         if (!offset.ok() || !length.ok()) {
           return fail(Status::InvalidArgument("bad readv run descriptor"));
         }
-        runs.push_back({*offset, *length});
+        const std::uint64_t capped = read_bound(*length, object);
+        if (capped > std::numeric_limits<std::uint64_t>::max() - bound) {
+          return fail(Status::InvalidArgument("readv runs overflow"));
+        }
+        runs.push_back({*offset, capped});
         total += *length;
+        bound += capped;
       }
-      std::vector<std::byte> buffer(total);
-      Status status = r->readv(tl, *handle, runs, buffer);
-      if (!status.ok()) return fail(status);
-      proto::put_status(w, Status::Ok());
-      w.put_bytes(buffer);
-      return w.take();
+      return read_reply(total, bound, [&](std::span<std::byte> out) {
+        return r->readv(tl, *handle, runs, out);
+      });
     }
     case Op::kWritev: {
       auto rname = reader.get_string();
@@ -238,7 +276,7 @@ std::vector<std::byte> SrbServer::handle(net::WireReader& reader,
       ServerResource* r = resource(*rname);
       if (!r) return fail(Status::NotFound("no resource: " + *rname));
       std::vector<IoRun> runs;
-      runs.reserve(*count);
+      runs.reserve(runs_left(reader, *count));
       std::uint64_t total = 0;
       for (std::uint32_t i = 0; i < *count; ++i) {
         auto offset = reader.get_u64();
@@ -249,7 +287,7 @@ std::vector<std::byte> SrbServer::handle(net::WireReader& reader,
         runs.push_back({*offset, *length});
         total += *length;
       }
-      auto data = reader.get_bytes();
+      auto data = reader.get_bytes_view();
       if (!data.ok() || data->size() != total) {
         return fail(Status::InvalidArgument("bad writev payload"));
       }
@@ -268,19 +306,19 @@ std::vector<std::byte> SrbServer::handle(net::WireReader& reader,
       }
       ServerResource* r = resource(*rname);
       if (!r) return fail(Status::NotFound("no resource: " + *rname));
-      std::vector<std::byte> buffer(*length);
       Status status = r->seek(tl, *handle, *offset);
-      if (status.ok()) status = r->read(tl, *handle, buffer);
       if (!status.ok()) return fail(status);
-      proto::put_status(w, Status::Ok());
-      w.put_bytes(buffer);
-      return w.take();
+      return read_reply(*length,
+                        read_bound(*length, r->object_bytes(*handle)),
+                        [&](std::span<std::byte> out) {
+                          return r->read(tl, *handle, out);
+                        });
     }
     case Op::kPWrite: {
       auto rname = reader.get_string();
       auto handle = reader.get_u64();
       auto offset = reader.get_u64();
-      auto data = reader.get_bytes();
+      auto data = reader.get_bytes_view();
       if (!rname.ok() || !handle.ok() || !offset.ok() || !data.ok()) {
         return fail(Status::InvalidArgument("bad pwrite request"));
       }
@@ -327,7 +365,7 @@ Status SrbServer::replicate(simkit::Timeline& timeline,
   }
   // Stream in bounded chunks (server-side copy does not cross the WAN).
   constexpr std::uint64_t kChunk = 4ull << 20;
-  std::vector<std::byte> buffer;
+  ByteBuffer buffer;  // each chunk is read in full before it is written
   Status status = Status::Ok();
   for (std::uint64_t off = 0; off < total && status.ok(); off += kChunk) {
     const std::uint64_t n = std::min(kChunk, total - off);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "net/wire.h"
 #include "simkit/resource.h"
@@ -40,9 +41,8 @@ class SrbServer {
 
   /// Executes one serialized request arriving at virtual time `arrival`.
   /// Returns the serialized response and the virtual completion time.
-  std::vector<std::byte> dispatch(std::span<const std::byte> request,
-                                  simkit::SimTime arrival,
-                                  simkit::SimTime* completion);
+  ByteBuffer dispatch(std::span<const std::byte> request,
+                      simkit::SimTime arrival, simkit::SimTime* completion);
 
   /// Resets the server CPU's virtual clock (between experiment repetitions).
   void reset_clock() { cpu_.reset(); }
@@ -64,7 +64,7 @@ class SrbServer {
                    const std::string& path, const std::string& dst_resource);
 
  private:
-  std::vector<std::byte> handle(net::WireReader& reader, simkit::Timeline& tl);
+  ByteBuffer handle(net::WireReader& reader, simkit::Timeline& tl);
 
   std::string name_;
   ServerConfig config_;

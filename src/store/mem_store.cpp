@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace msra::store {
 
@@ -14,7 +15,7 @@ Status MemObjectStore::create(const std::string& name, bool overwrite) {
     it->second.clear();
     return Status::Ok();
   }
-  objects_.emplace(name, std::vector<std::byte>{});
+  objects_.emplace(name, ByteBuffer{});
   return Status::Ok();
 }
 
@@ -36,10 +37,18 @@ Status MemObjectStore::write(const std::string& name, std::uint64_t offset,
   auto it = objects_.find(name);
   if (it == objects_.end()) return Status::NotFound("no object: " + name);
   auto& blob = it->second;
+  if (offset > std::numeric_limits<std::uint64_t>::max() - data.size()) {
+    return Status::OutOfRange("write past the largest offset of " + name);
+  }
   const std::uint64_t end = offset + data.size();
   if (end > blob.size()) {
-    used_ += end - blob.size();
-    blob.resize(end, std::byte{0});
+    const std::uint64_t old_end = blob.size();
+    used_ += end - old_end;
+    blob.resize(end);  // not zero-filled: the payload lands there next
+    // Only a gap between the old end and the write reads back as zeros.
+    if (offset > old_end) {
+      std::memset(blob.data() + old_end, 0, offset - old_end);
+    }
   }
   // Zero-length write into a still-empty object: blob.data() may be null.
   if (!data.empty()) {

@@ -4,11 +4,12 @@
 #include <map>
 #include <mutex>
 
+#include "common/bytes.h"
 #include "store/object_store.h"
 
 namespace msra::store {
 
-/// Stores objects as std::vector<std::byte> in a sorted map. Thread-safe.
+/// Stores objects as ByteBuffers in a sorted map. Thread-safe.
 class MemObjectStore final : public ObjectStore {
  public:
   Status create(const std::string& name, bool overwrite) override;
@@ -24,7 +25,7 @@ class MemObjectStore final : public ObjectStore {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, std::vector<std::byte>> objects_;
+  std::map<std::string, ByteBuffer> objects_;
   std::uint64_t used_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/bytes.h"
 #include "obs/metrics.h"
 
 namespace msra::tape {
@@ -70,7 +71,7 @@ void HsmStore::set_metrics(obs::MetricsRegistry* registry) {
 Status HsmStore::migrate_locked(simkit::Timeline& timeline,
                                 const std::string& name, Entry& entry) {
   // Read the cached copy (disk time) and write it to tape sequentially.
-  std::vector<std::byte> payload(entry.bytes);
+  ByteBuffer payload(entry.bytes);  // read in full before it is written
   MSRA_RETURN_IF_ERROR(cache_.read(name, 0, payload));
   cache_arm_.acquire(timeline, model_.cache_disk.read_time(entry.bytes));
   MSRA_RETURN_IF_ERROR(tape_->create(name, /*overwrite=*/entry.on_tape));
@@ -123,7 +124,7 @@ Status HsmStore::recall_locked(simkit::Timeline& timeline,
                                const std::string& name, Entry& entry) {
   const simkit::SimTime recall_start = timeline.now();
   MSRA_RETURN_IF_ERROR(ensure_room_locked(timeline, entry.bytes, name));
-  std::vector<std::byte> payload(entry.bytes);
+  ByteBuffer payload(entry.bytes);  // read in full before it is written
   MSRA_RETURN_IF_ERROR(tape_->read(timeline, name, 0, payload));
   MSRA_RETURN_IF_ERROR(cache_.create(name, /*overwrite=*/true));
   MSRA_RETURN_IF_ERROR(cache_.write(name, 0, payload));

@@ -319,7 +319,7 @@ TEST(TableTest, IndexDeclarationIsIdempotent) {
             ErrorCode::kAlreadyExists);
 }
 
-std::vector<std::byte> serialized(const Table& table) {
+ByteBuffer serialized(const Table& table) {
   net::WireWriter writer;
   table.serialize(writer);
   return writer.take();

@@ -205,14 +205,14 @@ TEST(CommTest, AllgathervGivesEveryoneEverything) {
 TEST(CommTest, ScattervDistributesChunks) {
   World world(3);
   world.run([&](Comm& comm) {
-    std::vector<std::vector<std::byte>> chunks;
+    std::vector<ByteBuffer> chunks;
     if (comm.rank() == 0) {
       for (int i = 0; i < 3; ++i) {
         chunks.emplace_back(static_cast<std::size_t>(i) + 1,
                             static_cast<std::byte>(i * 10));
       }
     }
-    auto mine = comm.scatterv(chunks, 0);
+    auto mine = comm.scatterv(std::move(chunks), 0);
     EXPECT_EQ(mine.size(), static_cast<std::size_t>(comm.rank()) + 1);
     if (!mine.empty()) {
       EXPECT_EQ(mine[0], static_cast<std::byte>(comm.rank() * 10));

@@ -86,6 +86,86 @@ TEST(ServerFuzzTest, RandomRequestsAreRejectedNotFatal) {
   EXPECT_TRUE(client.obj_open(tl, "remotedisk", "ok", srb::OpenMode::kCreate).ok());
 }
 
+TEST(ServerFuzzTest, AbsurdLengthsFailWithAStatusNotAnAllocation) {
+  // The random requests above are 48 bytes at most and never reach these
+  // paths: a read length, run length or run count far beyond anything the
+  // server holds must come back as a status-only error, not sized into a
+  // buffer first, and a write whose end wraps past 2^64 must not land.
+  StorageSystem system(HardwareProfile::test_profile());
+  srb::SrbServer& server = system.site(0).server();
+  srb::SrbClient client(&server, &system.site(0).disk_link());
+  Timeline tl;
+  ASSERT_TRUE(client.connect(tl).ok());
+  auto open = client.obj_open(tl, "remotedisk", "small", srb::OpenMode::kCreate);
+  ASSERT_TRUE(open.ok());
+  ASSERT_TRUE(client.obj_write(tl, "remotedisk", *open,
+                               std::vector<std::byte>(100, std::byte{5}))
+                  .ok());
+  const srb::HandleId never_opened = *open + 1000;
+  constexpr std::uint64_t kHuge = 1ull << 62;
+
+  // Dispatches a raw request; its response must hold a status and nothing
+  // else.
+  auto status_of = [&](net::WireWriter request) {
+    const ByteBuffer bytes = request.take();
+    simkit::SimTime completion = 0.0;
+    const ByteBuffer response = server.dispatch(bytes, 0.0, &completion);
+    net::WireReader reader(response);
+    Status status = srb::proto::get_status(reader);
+    EXPECT_TRUE(reader.exhausted()) << status.to_string();
+    return status;
+  };
+  auto header = [](srb::Op op, srb::HandleId handle) {
+    net::WireWriter w;
+    w.put_u8(static_cast<std::uint8_t>(op));
+    w.put_string("remotedisk");
+    w.put_u64(handle);
+    return w;
+  };
+
+  // kRead of 2^62 bytes, on a handle never opened and on an open one.
+  net::WireWriter read_bad = header(srb::Op::kRead, never_opened);
+  read_bad.put_u64(kHuge);
+  EXPECT_EQ(status_of(std::move(read_bad)).code(), ErrorCode::kInvalidArgument);
+  net::WireWriter read_open = header(srb::Op::kRead, *open);
+  read_open.put_u64(kHuge);
+  EXPECT_EQ(status_of(std::move(read_open)).code(), ErrorCode::kOutOfRange);
+
+  // kPRead of 2^62 bytes at offset 0 of the open object.
+  net::WireWriter pread = header(srb::Op::kPRead, *open);
+  pread.put_u64(0);
+  pread.put_u64(kHuge);
+  EXPECT_EQ(status_of(std::move(pread)).code(), ErrorCode::kOutOfRange);
+
+  // kReadv: runs of 2^63 bytes whose lengths sum past 2^64.
+  net::WireWriter readv = header(srb::Op::kReadv, *open);
+  readv.put_u32(2);
+  for (int i = 0; i < 2; ++i) {
+    readv.put_u64(0);
+    readv.put_u64(1ull << 63);
+  }
+  EXPECT_EQ(status_of(std::move(readv)).code(), ErrorCode::kOutOfRange);
+
+  // kReadv and kWritev claiming 2^32 - 1 run descriptors they do not carry.
+  for (srb::Op op : {srb::Op::kReadv, srb::Op::kWritev}) {
+    net::WireWriter runs = header(op, *open);
+    runs.put_u32(~std::uint32_t{0});
+    EXPECT_EQ(status_of(std::move(runs)).code(), ErrorCode::kInvalidArgument);
+  }
+
+  // kPWrite of 2 bytes at offset 2^64 - 1: offset + size wraps to 1.
+  net::WireWriter pwrite = header(srb::Op::kPWrite, *open);
+  pwrite.put_u64(~std::uint64_t{0});
+  pwrite.put_bytes(std::vector<std::byte>(2, std::byte{9}));
+  EXPECT_EQ(status_of(std::move(pwrite)).code(), ErrorCode::kOutOfRange);
+
+  // The server still serves the object, unchanged.
+  ASSERT_TRUE(client.obj_seek(tl, "remotedisk", *open, 0).ok());
+  std::vector<std::byte> back(100);
+  ASSERT_TRUE(client.obj_read(tl, "remotedisk", *open, back).ok());
+  EXPECT_EQ(back, std::vector<std::byte>(100, std::byte{5}));
+}
+
 // ---------------------------------------------------- superfile fuzz -----
 
 TEST(SuperfileFuzzTest, TruncatedSuperfilesAreRejected) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,29 @@ using simkit::Timeline;
 
 std::vector<std::byte> make_bytes(std::size_t n, unsigned char fill) {
   return std::vector<std::byte>(n, static_cast<std::byte>(fill));
+}
+
+// Wire sizes of the protocol: a string is a u32 length and its bytes, and a
+// status is a u8 code and its message string.
+std::uint64_t string_bytes(const std::string& s) { return 4 + s.size(); }
+std::uint64_t status_bytes(const std::string& message) {
+  return 1 + string_bytes(message);
+}
+
+// What the link bills for one round trip: each message's size plus the
+// fixed framing overhead.
+std::uint64_t round_trip(std::uint64_t request, std::uint64_t response) {
+  return request + response + 2 * kMessageOverheadBytes;
+}
+
+// Bytes `link` transmitted while `op` ran: its pipe is busy size/bandwidth
+// per message (no noise in the test profile).
+template <typename Fn>
+std::uint64_t billed_bytes(net::Link& link, Fn&& op) {
+  const double before = link.pipe().busy_time();
+  op();
+  return static_cast<std::uint64_t>(
+      std::llround((link.pipe().busy_time() - before) * link.model().bandwidth));
 }
 
 class SrbTest : public ::testing::Test {
@@ -229,6 +254,139 @@ TEST_F(SrbTest, MalformedRequestIsRejectedNotFatal) {
   auto response = system_.site(0).server().dispatch(garbage, 0.0, &completion);
   net::WireReader r(response);
   EXPECT_FALSE(proto::get_status(r).ok());
+}
+
+// The link bills every message by its size, so the sizes are part of the
+// model: a read response is its status (1 + 4 + message length) plus, on
+// success only, the payload (8 + n); a failed read sends the status alone.
+TEST_F(SrbTest, ReadMessagesKeepTheirWireSizes) {
+  SrbClient client = make_client();
+  net::Link& link = system_.site(0).disk_link();
+  Timeline tl;
+  ASSERT_TRUE(client.connect(tl).ok());
+  const std::string rname = "remotedisk";
+  const std::string path = "sizes/read";
+  auto writer = client.obj_open(tl, rname, path, OpenMode::kCreate);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(client.obj_write(tl, rname, *writer, make_bytes(3000, 7)).ok());
+  ASSERT_TRUE(client.obj_close(tl, rname, *writer).ok());
+  auto h = client.obj_open(tl, rname, path, OpenMode::kRead);
+  ASSERT_TRUE(h.ok());
+  const HandleId bad = *h + 1000;
+  const std::uint64_t ok = status_bytes("");
+  const std::uint64_t past_end = status_bytes("read past end of " + path);
+  const std::uint64_t bad_handle = status_bytes("bad handle");
+  const std::uint64_t prefix = 1 + string_bytes(rname) + 8;  // op, name, handle
+  std::vector<std::byte> out(4000);
+  auto first = [&](std::size_t n) { return std::span(out).first(n); };
+
+  // kRead: prefix + length.
+  std::uint64_t billed = billed_bytes(link, [&] {
+    EXPECT_TRUE(client.obj_read(tl, rname, *h, first(3000)).ok());
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 8, ok + 8 + 3000));
+  ASSERT_TRUE(client.obj_seek(tl, rname, *h, 0).ok());
+  billed = billed_bytes(link, [&] {
+    EXPECT_EQ(client.obj_read(tl, rname, *h, first(4000)).code(),
+              ErrorCode::kOutOfRange);
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 8, past_end));
+  billed = billed_bytes(link, [&] {
+    EXPECT_EQ(client.obj_read(tl, rname, bad, first(100)).code(),
+              ErrorCode::kInvalidArgument);
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 8, bad_handle));
+
+  // kReadv: prefix + run count + 16 bytes per run.
+  const std::vector<IoRun> runs = {{0, 1000}, {2000, 500}};
+  billed = billed_bytes(link, [&] {
+    EXPECT_TRUE(client.obj_readv(tl, rname, *h, runs, first(1500)).ok());
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 4 + 32, ok + 8 + 1500));
+  const std::vector<IoRun> past = {{0, 1000}, {2500, 1000}};
+  billed = billed_bytes(link, [&] {
+    EXPECT_EQ(client.obj_readv(tl, rname, *h, past, first(2000)).code(),
+              ErrorCode::kOutOfRange);
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 4 + 32, past_end));
+  billed = billed_bytes(link, [&] {
+    EXPECT_EQ(client.obj_readv(tl, rname, bad, runs, first(1500)).code(),
+              ErrorCode::kInvalidArgument);
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 4 + 32, bad_handle));
+
+  // kPRead (prefix + offset + length), one per 1000-byte chunk of a
+  // pipelined read, after one kTell (prefix alone; answered with a u64).
+  FastPathConfig chunks;
+  chunks.pipeline_chunk_bytes = 1000;
+  chunks.streams = 1;
+  client.set_fast_path(chunks);
+  const std::uint64_t tell = round_trip(prefix, ok + 8);
+  const std::uint64_t pread = prefix + 8 + 8;
+  ASSERT_TRUE(client.obj_seek(tl, rname, *h, 0).ok());
+  billed = billed_bytes(link, [&] {
+    EXPECT_TRUE(client.read_pipelined(tl, rname, *h, first(2000)).ok());
+  });
+  EXPECT_EQ(billed, tell + 2 * round_trip(pread, ok + 8 + 1000));
+  ASSERT_TRUE(client.obj_seek(tl, rname, *h, 2000).ok());
+  billed = billed_bytes(link, [&] {
+    EXPECT_EQ(client.read_pipelined(tl, rname, *h, first(2000)).code(),
+              ErrorCode::kOutOfRange);
+  });
+  EXPECT_EQ(billed, tell + round_trip(pread, ok + 8 + 1000) +
+                        round_trip(pread, past_end));
+  // A kPRead on a bad handle (the pipelined path's kTell would fail first).
+  net::WireWriter raw;
+  raw.put_u8(static_cast<std::uint8_t>(Op::kPRead));
+  raw.put_string(rname);
+  raw.put_u64(bad);
+  raw.put_u64(0);
+  raw.put_u64(100);
+  const auto request = raw.take();
+  EXPECT_EQ(request.size(), pread);
+  simkit::SimTime completion = 0.0;
+  EXPECT_EQ(system_.site(0).server().dispatch(request, 0.0, &completion).size(),
+            bad_handle);
+  ASSERT_TRUE(client.obj_close(tl, rname, *h).ok());
+}
+
+TEST_F(SrbTest, WriteMessagesKeepTheirWireSizes) {
+  SrbClient client = make_client();
+  net::Link& link = system_.site(0).disk_link();
+  Timeline tl;
+  ASSERT_TRUE(client.connect(tl).ok());
+  const std::string rname = "remotedisk";
+  auto h = client.obj_open(tl, rname, "sizes/write", OpenMode::kCreate);
+  ASSERT_TRUE(h.ok());
+  const std::uint64_t ok = status_bytes("");
+  const std::uint64_t prefix = 1 + string_bytes(rname) + 8;  // op, name, handle
+  const auto payload = make_bytes(2000, 3);
+
+  // kWrite: prefix + the payload (8 + n).
+  std::uint64_t billed = billed_bytes(link, [&] {
+    EXPECT_TRUE(client.obj_write(tl, rname, *h, std::span(payload).first(1000)).ok());
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 8 + 1000, ok));
+
+  // kPWrite: prefix + offset + payload, per 1000-byte chunk, after a kTell.
+  FastPathConfig chunks;
+  chunks.pipeline_chunk_bytes = 1000;
+  chunks.streams = 1;
+  client.set_fast_path(chunks);
+  billed = billed_bytes(link, [&] {
+    EXPECT_TRUE(client.write_pipelined(tl, rname, *h, payload).ok());
+  });
+  EXPECT_EQ(billed,
+            round_trip(prefix, ok + 8) + 2 * round_trip(prefix + 8 + 8 + 1000, ok));
+
+  // kWritev: prefix + run count + 16 bytes per run + the payload.
+  const std::vector<IoRun> runs = {{0, 100}, {500, 200}};
+  billed = billed_bytes(link, [&] {
+    EXPECT_TRUE(
+        client.obj_writev(tl, rname, *h, runs, std::span(payload).first(300)).ok());
+  });
+  EXPECT_EQ(billed, round_trip(prefix + 4 + 32 + 8 + 300, ok));
+  ASSERT_TRUE(client.obj_close(tl, rname, *h).ok());
 }
 
 TEST_F(SrbTest, ConcurrentClientsShareTheLink) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -150,7 +151,37 @@ TEST_P(ObjectStoreConformance, RandomizedChunkedWritesMatchReference) {
     if (end > reference.size()) reference.resize(end, std::byte{0});
     std::memcpy(reference.data() + offset, chunk.data(), len);
   }
+  // Writes that grow the object, each placed relative to its current end:
+  // an append, one straddling the end, one leaving a gap (which reads back
+  // as zeros) and a zero-byte write past the end (which moves the end).
+  struct Growth {
+    std::int64_t from_end;
+    std::uint64_t len;
+  };
+  const Growth growths[] = {{0, 300}, {-100, 400}, {500, 50}, {300, 0}};
+  auto grow = [&](std::uint8_t fill) {
+    for (const Growth& g : growths) {
+      const auto offset = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(reference.size()) + g.from_end);
+      const std::vector<std::byte> chunk(g.len, static_cast<std::byte>(fill++));
+      ASSERT_TRUE(store_->write("blob", offset, chunk).ok());
+      if (offset + g.len > reference.size()) {
+        reference.resize(offset + g.len, std::byte{0});
+      }
+      std::copy(chunk.begin(), chunk.end(), reference.begin() + offset);
+      ASSERT_EQ(store_->size("blob").value(), reference.size());
+    }
+  };
+  grow(0xA0);
   std::vector<std::byte> out(reference.size());
+  ASSERT_TRUE(store_->read("blob", 0, out).ok());
+  EXPECT_EQ(out, reference);
+  // Again from empty, over an object recreated in place: its old bytes
+  // must not show through the gap.
+  ASSERT_TRUE(store_->create("blob", /*overwrite=*/true).ok());
+  reference.clear();
+  grow(0xB0);
+  out.assign(reference.size(), std::byte{0xFF});
   ASSERT_TRUE(store_->read("blob", 0, out).ok());
   EXPECT_EQ(out, reference);
 }

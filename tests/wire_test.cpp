@@ -83,6 +83,57 @@ TEST(WireTest, BytesIntoRequiresExactSize) {
   }
 }
 
+TEST(WireTest, LengthPrefixNearTwoTo64FailsWithAStatus) {
+  // A 9-byte message whose u64 length prefix claims 2^64 - 8 bytes: added
+  // to the position after the prefix it wraps to 0, so only a check against
+  // what is left of the message catches it.
+  WireWriter w;
+  w.put_u64(~std::uint64_t{0} - 7);
+  w.put_u8(0xAB);
+  const auto buf = w.take();
+  ASSERT_EQ(buf.size(), 9u);
+  EXPECT_EQ(WireReader(buf).get_bytes().status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(WireReader(buf).get_bytes_view().status().code(),
+            ErrorCode::kOutOfRange);
+  // A u32 string prefix one byte longer than the rest of the message.
+  WireWriter s;
+  s.put_u32(2);
+  s.put_u8(0xCD);
+  const auto sbuf = s.take();
+  EXPECT_EQ(WireReader(sbuf).get_string().status().code(), ErrorCode::kOutOfRange);
+  // get_bytes_into: a prefix that matches the buffer but not the message.
+  WireWriter b;
+  b.put_u64(2);
+  b.put_u8(0xEF);
+  const auto bbuf = b.take();
+  std::vector<std::byte> out(2);
+  EXPECT_EQ(WireReader(bbuf).get_bytes_into(out).code(), ErrorCode::kOutOfRange);
+}
+
+TEST(WireTest, BytesFilledInPlaceReadBackAsAView) {
+  WireWriter w;
+  w.put_u8(1);
+  const std::span<std::byte> slot = w.put_bytes_in_place(5);
+  ASSERT_EQ(slot.size(), 5u);
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    slot[i] = static_cast<std::byte>(10 + i);
+  }
+  w.put_u8(2);
+  const auto buf = w.take();
+  EXPECT_EQ(buf.size(), 1u + 8u + 5u + 1u);  // same bytes as put_bytes
+  WireReader r(buf);
+  EXPECT_EQ(r.get_u8().value(), 1);
+  const auto view = r.get_bytes_view();
+  ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view->size(), 5u);
+  EXPECT_EQ(view->data(), buf.data() + 9);  // a view into the message
+  for (std::size_t i = 0; i < view->size(); ++i) {
+    EXPECT_EQ((*view)[i], static_cast<std::byte>(10 + i));
+  }
+  EXPECT_EQ(r.get_u8().value(), 2);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(LinkTest, TransmitChargesLatencyAndBandwidth) {
   LinkModel model;
   model.latency = 0.05;
