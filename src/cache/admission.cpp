@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cache/endpoint.h"
 #include "migrate/tracker.h"
 #include "predict/predictor.h"
 #include "runtime/plan.h"
@@ -36,11 +37,10 @@ double AdmissionJudge::expected_reuse(const std::string& dataset_key,
     // stage is about to re-read.
     reuse = tracker_->heat_at(dataset_key, now).anticipated_reads();
   }
-  return std::clamp(reuse, 1.0, config_.max_expected_reuse);
+  return std::clamp(reuse, 1.0, kMaxExpectedReuse);
 }
 
 AdmissionVerdict AdmissionJudge::judge(const CacheStore& store,
-                                       const store::DiskModel& memory_model,
                                        const std::string& path,
                                        const std::string& dataset_key,
                                        std::uint64_t bytes,
@@ -49,10 +49,6 @@ AdmissionVerdict AdmissionJudge::judge(const CacheStore& store,
   AdmissionVerdict verdict;
   if (store.contains(path)) {
     verdict.outcome = AdmissionOutcome::kAlreadyCached;
-    return verdict;
-  }
-  if (config_.max_object_bytes > 0 && bytes > config_.max_object_bytes) {
-    verdict.outcome = AdmissionOutcome::kTooLarge;
     return verdict;
   }
   const InsertPlan plan = store.plan_insert(bytes);
@@ -71,13 +67,12 @@ AdmissionVerdict AdmissionJudge::judge(const CacheStore& store,
     return verdict;
   }
   verdict.refetch_seconds = *refetch;
-  // Analytic Eq. 1 for the same whole-object read served from the memory
-  // tier: Tconn = Tconnclose = 0, the DiskModel supplies the rest. This is
-  // exactly what CacheEndpoint bills on a hit, so the verdict's saving is
-  // the saving the breakdown will show.
-  verdict.serve_seconds = memory_model.open_read +
-                          memory_model.read_time(bytes) +
-                          memory_model.close_read;
+  // Analytic Eq. 1 for the same whole-object read served from the cache:
+  // Tconn = Tconnclose = 0, kMemoryModel supplies the rest. This is exactly
+  // what CacheEndpoint bills on a hit.
+  verdict.serve_seconds = kMemoryModel.open_read +
+                          kMemoryModel.read_time(bytes) +
+                          kMemoryModel.close_read;
   verdict.expected_reuse = expected_reuse(dataset_key, now);
   verdict.saved_per_hit = verdict.refetch_seconds - verdict.serve_seconds;
   verdict.benefit_seconds = verdict.saved_per_hit * verdict.expected_reuse;

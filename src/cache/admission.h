@@ -10,10 +10,10 @@
 //
 // where `refetch` is the shared Predictor's Eq.-1 quote for re-reading the
 // object from its origin resource, `serve` the analytic cost of the same
-// read off the cache's memory tier, and `expected_reuse` the dataset's
-// (decayed) read heat from migrate::AccessTracker. No heuristics: a cache
-// slot is taken exactly when the predicted seconds saved exceed the
-// predicted seconds lost.
+// read off the cache (kMemoryModel), and `expected_reuse` the dataset's
+// (decayed) read heat from migrate::AccessTracker, capped at
+// kMaxExpectedReuse. No heuristics: a cache slot is taken exactly when the
+// predicted seconds saved exceed the predicted seconds lost.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 
 #include "cache/store.h"
 #include "core/dataset.h"
-#include "store/disk_model.h"
 
 namespace msra::predict {
 class Predictor;
@@ -33,22 +32,20 @@ class AccessTracker;
 
 namespace msra::cache {
 
+/// Cap on the reuse multiplier taken from tracker heat, so one historic hot
+/// streak cannot justify unbounded eviction damage.
+inline constexpr double kMaxExpectedReuse = 16.0;
+
 struct AdmissionConfig {
   /// Reject when the total predicted saving is below this floor (filters
   /// churn on objects whose refetch is barely slower than the cache).
   double min_benefit_seconds = 0.0;
-  /// Cap on the reuse multiplier taken from tracker heat, so one historic
-  /// hot streak cannot justify unbounded eviction damage.
-  double max_expected_reuse = 16.0;
-  /// Reject objects larger than this outright (0 = only the tier
-  /// capacities limit size).
-  std::uint64_t max_object_bytes = 0;
 };
 
 enum class AdmissionOutcome {
   kAdmit,           ///< priced in: benefit exceeds damage
   kAlreadyCached,   ///< resident; nothing to decide
-  kTooLarge,        ///< exceeds max_object_bytes or fits in no tier
+  kTooLarge,        ///< larger than the whole cache
   kUnpriced,        ///< no Predictor refetch quote for the origin
   kNoBenefit,       ///< cache serve is no faster than refetch (or floor)
   kEvictionDamage,  ///< saving is real but the victims were worth more
@@ -61,7 +58,7 @@ struct AdmissionVerdict {
   AdmissionOutcome outcome = AdmissionOutcome::kUnpriced;
   double refetch_seconds = 0.0;   ///< Eq. 1 quote: re-read from origin
   double serve_seconds = 0.0;     ///< Eq. 1 analytic: read from cache memory
-  double expected_reuse = 0.0;    ///< decayed heat, clamped to [1, max]
+  double expected_reuse = 0.0;    ///< decayed heat, clamped to [1, cap]
   double benefit_seconds = 0.0;   ///< (refetch - serve) * reuse
   double damage_seconds = 0.0;    ///< victims' saved_per_hit * their reuse
   double saved_per_hit = 0.0;     ///< refetch - serve (recorded on hits)
@@ -79,9 +76,7 @@ class AdmissionJudge {
 
   /// Prices caching `path` (`bytes` long, refetchable from `origin`) into
   /// `store` at virtual time `now`. Pure: mutates nothing.
-  AdmissionVerdict judge(const CacheStore& store,
-                         const store::DiskModel& memory_model,
-                         const std::string& path,
+  AdmissionVerdict judge(const CacheStore& store, const std::string& path,
                          const std::string& dataset_key, std::uint64_t bytes,
                          core::Location origin, double now) const;
 

@@ -6,41 +6,14 @@
 
 namespace msra::cache {
 
-store::DiskModel default_memory_model() {
-  store::DiskModel model;
-  model.open_read = 1.0e-4;   // buffer registration, no device involved
-  model.open_write = 1.0e-4;
-  model.close_read = 1.0e-5;
-  model.close_write = 1.0e-5;
-  model.seek = 1.0e-6;        // pointer arithmetic
-  model.read_bw = 400.0e6;    // sustained memcpy on the paper-era node
-  model.write_bw = 400.0e6;
-  model.per_op = 1.0e-5;
-  return model;
-}
-
-store::DiskModel default_spill_model() {
-  store::DiskModel model;
-  model.open_read = 0.05;     // local scratch disk, no network
-  model.open_write = 0.05;
-  model.close_read = 0.001;
-  model.close_write = 0.001;
-  model.seek = 0.001;
-  model.read_bw = 30.0e6;
-  model.write_bw = 25.0e6;
-  model.per_op = 0.0005;
-  return model;
-}
-
 ReadCache::ReadCache(obs::MetricsRegistry* metrics,
                      const predict::Predictor* predictor,
                      const migrate::AccessTracker* tracker,
                      const CacheConfig& config)
     : config_(config),
-      store_(config.memory_bytes, config.spill_bytes),
+      store_(config.memory_bytes),
       judge_(predictor, tracker, config.admission) {
-  auto inner = std::make_unique<CacheEndpoint>(&store_, config_.memory_model,
-                                               config_.spill_model);
+  auto inner = std::make_unique<CacheEndpoint>(&store_);
   if (metrics != nullptr) {
     endpoint_ =
         std::make_unique<obs::InstrumentedEndpoint>(std::move(inner), metrics);
@@ -49,10 +22,8 @@ ReadCache::ReadCache(obs::MetricsRegistry* metrics,
     admitted_ = metrics->counter("cache.admitted");
     rejected_ = metrics->counter("cache.rejected");
     invalidations_ = metrics->counter("cache.invalidations");
-    spill_moves_ = metrics->counter("cache.spills");
     evictions_ = metrics->counter("cache.evictions");
     memory_bytes_gauge_ = metrics->gauge("cache.memory_bytes");
-    spill_bytes_gauge_ = metrics->gauge("cache.spill_bytes");
     entries_gauge_ = metrics->gauge("cache.entries");
     saved_seconds_ = metrics->histogram("cache.saved_seconds");
   } else {
@@ -66,23 +37,20 @@ void ReadCache::publish_occupancy() {
   if (memory_bytes_gauge_ == nullptr) return;
   const CacheStoreStats stats = store_.stats();
   memory_bytes_gauge_->set(static_cast<double>(stats.memory_bytes));
-  spill_bytes_gauge_->set(static_cast<double>(stats.spill_bytes));
   entries_gauge_->set(static_cast<double>(stats.entries));
 }
 
 std::shared_ptr<const void> ReadCache::lookup(const std::string& path,
                                               bool credit_saved) {
-  std::optional<CacheEntryInfo> info = store_.info(path);
   std::shared_ptr<const CacheStore::Snapshot> pin = store_.acquire(path);
   if (pin == nullptr) {
     counters_.misses.fetch_add(1, std::memory_order_relaxed);
     if (misses_ != nullptr) misses_->increment();
     return nullptr;
   }
-  store_.record_hit(path);
   counters_.hits.fetch_add(1, std::memory_order_relaxed);
   if (hits_ != nullptr) hits_->increment();
-  const double saved = credit_saved && info ? info->saved_per_hit : 0.0;
+  const double saved = credit_saved ? pin->saved_per_hit : 0.0;
   if (saved > 0.0) {
     double expected = counters_.saved_seconds.load(std::memory_order_relaxed);
     while (!counters_.saved_seconds.compare_exchange_weak(
@@ -97,14 +65,13 @@ AdmissionVerdict ReadCache::judge(const std::string& path,
                                   const std::string& dataset_key,
                                   std::uint64_t bytes, core::Location origin,
                                   double now) const {
-  return judge_.judge(store_, config_.memory_model, path, dataset_key, bytes,
-                      origin, now);
+  return judge_.judge(store_, path, dataset_key, bytes, origin, now);
 }
 
 AdmissionVerdict ReadCache::offer(const std::string& path,
                                   const std::string& dataset_key,
-                                  std::span<const std::byte> payload,
-                                  core::Location origin, double now) {
+                                  ByteBuffer payload, core::Location origin,
+                                  double now) {
   AdmissionVerdict verdict =
       judge(path, dataset_key, payload.size(), origin, now);
   if (!verdict.admit()) {
@@ -115,10 +82,8 @@ AdmissionVerdict ReadCache::offer(const std::string& path,
     return verdict;
   }
   InsertPlan applied;
-  Status inserted =
-      store_.insert(path, dataset_key,
-                    std::vector<std::byte>(payload.begin(), payload.end()),
-                    verdict.saved_per_hit, &applied);
+  Status inserted = store_.insert(path, dataset_key, std::move(payload),
+                                  verdict.saved_per_hit, &applied);
   if (!inserted.ok()) {
     // Lost a race with a concurrent offer/insert of the same object:
     // somebody else already paid, treat as already-cached.
@@ -137,23 +102,15 @@ Status ReadCache::insert_probe(const std::string& path,
                                std::span<const std::byte> payload,
                                double saved_per_hit) {
   InsertPlan applied;
-  MSRA_RETURN_IF_ERROR(
-      store_.insert(path, dataset_key,
-                    std::vector<std::byte>(payload.begin(), payload.end()),
-                    saved_per_hit, &applied));
+  MSRA_RETURN_IF_ERROR(store_.insert(path, dataset_key,
+                                     ByteBuffer(payload.begin(), payload.end()),
+                                     saved_per_hit, &applied));
   apply_insert_side_effects(applied);
   publish_occupancy();
   return Status::Ok();
 }
 
 void ReadCache::apply_insert_side_effects(const InsertPlan& plan) {
-  if (!plan.spilled.empty()) {
-    counters_.spill_moves.fetch_add(plan.spilled.size(),
-                                    std::memory_order_relaxed);
-    if (spill_moves_ != nullptr) {
-      spill_moves_->add(static_cast<std::uint64_t>(plan.spilled.size()));
-    }
-  }
   if (!plan.evicted.empty()) {
     counters_.evictions.fetch_add(plan.evicted.size(),
                                   std::memory_order_relaxed);
@@ -168,18 +125,6 @@ void ReadCache::invalidate(const std::string& path) {
   counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
   if (invalidations_ != nullptr) invalidations_->increment();
   publish_occupancy();
-}
-
-std::size_t ReadCache::invalidate_prefix(const std::string& prefix) {
-  const std::size_t dropped = store_.erase_prefix(prefix);
-  if (dropped > 0) {
-    counters_.invalidations.fetch_add(dropped, std::memory_order_relaxed);
-    if (invalidations_ != nullptr) {
-      invalidations_->add(static_cast<std::uint64_t>(dropped));
-    }
-    publish_occupancy();
-  }
-  return dropped;
 }
 
 void ReadCache::flush() {
@@ -202,7 +147,6 @@ CacheStats ReadCache::stats() const {
   out.admitted = counters_.admitted.load(std::memory_order_relaxed);
   out.rejected = counters_.rejected.load(std::memory_order_relaxed);
   out.invalidations = counters_.invalidations.load(std::memory_order_relaxed);
-  out.spill_moves = counters_.spill_moves.load(std::memory_order_relaxed);
   out.evictions = counters_.evictions.load(std::memory_order_relaxed);
   out.saved_seconds = counters_.saved_seconds.load(std::memory_order_relaxed);
   return out;

@@ -19,15 +19,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cache/admission.h"
 #include "cache/store.h"
+#include "common/bytes.h"
 #include "common/status.h"
-#include "store/disk_model.h"
 
 namespace msra::obs {
 class MetricsRegistry;
@@ -50,16 +49,8 @@ class AccessTracker;
 
 namespace msra::cache {
 
-/// Cost model of the memory tier: node-local RAM serving whole objects.
-store::DiskModel default_memory_model();
-/// Cost model of the spill tier: a local scratch disk.
-store::DiskModel default_spill_model();
-
 struct CacheConfig {
-  std::uint64_t memory_bytes = 64ull << 20;  ///< memory-tier capacity
-  std::uint64_t spill_bytes = 0;             ///< spill-tier capacity (0 = off)
-  store::DiskModel memory_model = default_memory_model();
-  store::DiskModel spill_model = default_spill_model();
+  std::uint64_t memory_bytes = 64ull << 20;  ///< capacity
   AdmissionConfig admission;
 };
 
@@ -71,7 +62,6 @@ struct CacheStats {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;        ///< priced offers that did not admit
   std::uint64_t invalidations = 0;   ///< entries dropped write-through
-  std::uint64_t spill_moves = 0;     ///< memory -> spill demotions
   std::uint64_t evictions = 0;       ///< entries dropped for space
   double saved_seconds = 0.0;        ///< sum of saved_per_hit over all hits
 };
@@ -110,15 +100,14 @@ class ReadCache {
                          const std::string& dataset_key, std::uint64_t bytes,
                          core::Location origin, double now) const;
 
-  /// Post-miss offer: judge, and insert the payload on admit. Returns the
-  /// verdict either way.
+  /// Post-miss offer: judge, and on admit keep the payload itself (no
+  /// copy). Returns the verdict either way.
   AdmissionVerdict offer(const std::string& path,
-                         const std::string& dataset_key,
-                         std::span<const std::byte> payload,
+                         const std::string& dataset_key, ByteBuffer payload,
                          core::Location origin, double now);
 
   /// Unpriced insert for PTool probes and tests: bypasses admission (still
-  /// bounded by the tiers; evictions/spills happen as usual).
+  /// bounded by the capacity; evictions happen as usual).
   Status insert_probe(const std::string& path, const std::string& dataset_key,
                       std::span<const std::byte> payload,
                       double saved_per_hit = 0.0);
@@ -126,7 +115,6 @@ class ReadCache {
   /// Write-through invalidation. Entries drop immediately; pinned in-flight
   /// reads keep their pre-invalidation snapshot.
   void invalidate(const std::string& path);
-  std::size_t invalidate_prefix(const std::string& prefix);
   /// Drops everything (counted as invalidations).
   void flush();
 
@@ -147,7 +135,6 @@ class ReadCache {
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> invalidations{0};
-    std::atomic<std::uint64_t> spill_moves{0};
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<double> saved_seconds{0.0};
   };
@@ -163,10 +150,8 @@ class ReadCache {
   obs::Counter* admitted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
   obs::Counter* invalidations_ = nullptr;
-  obs::Counter* spill_moves_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Gauge* memory_bytes_gauge_ = nullptr;
-  obs::Gauge* spill_bytes_gauge_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;
   obs::Histogram* saved_seconds_ = nullptr;
 };

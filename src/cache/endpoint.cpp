@@ -4,9 +4,7 @@
 
 namespace msra::cache {
 
-CacheEndpoint::CacheEndpoint(CacheStore* store, store::DiskModel memory_model,
-                             store::DiskModel spill_model)
-    : store_(store), memory_model_(memory_model), spill_model_(spill_model) {}
+CacheEndpoint::CacheEndpoint(CacheStore* store) : store_(store) {}
 
 StatusOr<runtime::HandleId> CacheEndpoint::open(simkit::Timeline& timeline,
                                                 const std::string& path,
@@ -19,9 +17,7 @@ StatusOr<runtime::HandleId> CacheEndpoint::open(simkit::Timeline& timeline,
   if (snapshot == nullptr) {
     return Status::NotFound("not cached: " + path);
   }
-  const store::DiskModel& model =
-      snapshot->spilled ? spill_model_ : memory_model_;
-  timeline.advance(model.open_read);
+  timeline.advance(kMemoryModel.open_read);
   std::lock_guard<std::mutex> lock(mutex_);
   const runtime::HandleId handle = next_handle_++;
   open_[handle] = OpenState{std::move(snapshot), 0};
@@ -30,7 +26,6 @@ StatusOr<runtime::HandleId> CacheEndpoint::open(simkit::Timeline& timeline,
 
 Status CacheEndpoint::seek(simkit::Timeline& timeline,
                            runtime::HandleId handle, std::uint64_t offset) {
-  store::DiskModel model;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = open_.find(handle);
@@ -38,9 +33,8 @@ Status CacheEndpoint::seek(simkit::Timeline& timeline,
       return Status::InvalidArgument("cache: bad handle");
     }
     it->second.pos = offset;
-    model = model_of(it->second);
   }
-  timeline.advance(model.seek);
+  timeline.advance(kMemoryModel.seek);
   return Status::Ok();
 }
 
@@ -49,7 +43,6 @@ Status CacheEndpoint::read(simkit::Timeline& timeline,
                            std::span<std::byte> out) {
   std::shared_ptr<const CacheStore::Snapshot> snapshot;
   std::uint64_t pos = 0;
-  store::DiskModel model;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = open_.find(handle);
@@ -58,14 +51,13 @@ Status CacheEndpoint::read(simkit::Timeline& timeline,
     }
     snapshot = it->second.snapshot;
     pos = it->second.pos;
-    model = model_of(it->second);
     it->second.pos += out.size();
   }
-  const std::vector<std::byte>& bytes = *snapshot->bytes;
+  const ByteBuffer& bytes = *snapshot->bytes;
   if (pos + out.size() > bytes.size()) {
     return Status::OutOfRange("cache: read past end of object");
   }
-  timeline.advance(model.read_time(out.size()));
+  timeline.advance(kMemoryModel.read_time(out.size()));
   if (!out.empty()) std::memcpy(out.data(), bytes.data() + pos, out.size());
   return Status::Ok();
 }
@@ -77,17 +69,13 @@ Status CacheEndpoint::write(simkit::Timeline&, runtime::HandleId,
 
 Status CacheEndpoint::close(simkit::Timeline& timeline,
                             runtime::HandleId handle) {
-  store::DiskModel model;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = open_.find(handle);
-    if (it == open_.end()) {
+    if (open_.erase(handle) == 0) {
       return Status::InvalidArgument("cache: bad handle");
     }
-    model = model_of(it->second);
-    open_.erase(it);
   }
-  timeline.advance(model.close_read);
+  timeline.advance(kMemoryModel.close_read);
   return Status::Ok();
 }
 
@@ -114,13 +102,11 @@ StatusOr<std::vector<store::ObjectInfo>> CacheEndpoint::list(
 }
 
 std::uint64_t CacheEndpoint::capacity() const {
-  const CacheStoreStats stats = store_->stats();
-  return stats.memory_capacity + stats.spill_capacity;
+  return store_->stats().memory_capacity;
 }
 
 std::uint64_t CacheEndpoint::used() const {
-  const CacheStoreStats stats = store_->stats();
-  return stats.memory_bytes + stats.spill_bytes;
+  return store_->stats().memory_bytes;
 }
 
 }  // namespace msra::cache

@@ -4,11 +4,9 @@
 // obs::InstrumentedEndpoint (by ReadCache) it produces the `io.cache.*`
 // histogram rows for the breakdown report with zero special cases.
 //
-// Cost semantics (Eq. 1 on a node-local tier):
+// Cost semantics (Eq. 1 on node-local memory):
 //   Tconn = Tconnclose = 0            (no network to the cache)
-//   Topen/Tseek/Trw/Tclose           from the tier's DiskModel — the
-//                                     memory model for resident entries,
-//                                     the spill model for spilled ones.
+//   Topen/Tseek/Trw/Tclose           from kMemoryModel
 // The endpoint is read-only: writes are admission's job (ReadCache::offer),
 // never the executor's.
 #pragma once
@@ -26,12 +24,22 @@
 
 namespace msra::cache {
 
+/// Cost of node-local memory serving whole cached objects: what
+/// CacheEndpoint bills on a hit and what AdmissionJudge prices as the serve
+/// time, so a verdict's saving is the saving the breakdown will show.
+/// Read-only, so no write costs.
+inline constexpr store::DiskModel kMemoryModel{
+    .open_read = 1.0e-4,   // buffer registration, no device involved
+    .close_read = 1.0e-5,
+    .seek = 1.0e-6,        // pointer arithmetic
+    .read_bw = 400.0e6,    // sustained memcpy on the paper-era node
+    .per_op = 1.0e-5,
+};
+
 class CacheEndpoint final : public runtime::StorageEndpoint {
  public:
-  /// Does not own the store; `memory_model`/`spill_model` price the serve
-  /// cost of the two tiers.
-  CacheEndpoint(CacheStore* store, store::DiskModel memory_model,
-                store::DiskModel spill_model);
+  /// Does not own the store.
+  explicit CacheEndpoint(CacheStore* store);
 
   runtime::StorageKind kind() const override {
     return runtime::StorageKind::kLocalDisk;
@@ -68,13 +76,7 @@ class CacheEndpoint final : public runtime::StorageEndpoint {
     std::uint64_t pos = 0;
   };
 
-  const store::DiskModel& model_of(const OpenState& state) const {
-    return state.snapshot->spilled ? spill_model_ : memory_model_;
-  }
-
   CacheStore* store_;
-  store::DiskModel memory_model_;
-  store::DiskModel spill_model_;
   std::string name_ = "cache";
   mutable std::mutex mutex_;
   std::map<runtime::HandleId, OpenState> open_;  // guarded by mutex_

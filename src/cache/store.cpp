@@ -5,20 +5,12 @@
 
 namespace msra::cache {
 
-CacheStore::CacheStore(std::uint64_t memory_capacity,
-                       std::uint64_t spill_capacity)
-    : memory_capacity_(memory_capacity), spill_capacity_(spill_capacity) {}
+CacheStore::CacheStore(std::uint64_t capacity) : capacity_(capacity) {}
 
-CacheEntryInfo CacheStore::info_locked(const std::string& path,
-                                       const Entry& entry) const {
-  CacheEntryInfo out;
-  out.path = path;
-  out.dataset_key = entry.dataset_key;
-  out.bytes = entry.bytes ? entry.bytes->size() : 0;
-  out.spilled = entry.spilled;
-  out.hits = entry.hits;
-  out.saved_per_hit = entry.saved_per_hit;
-  return out;
+CacheEntryInfo CacheStore::info_of(const Entries::value_type& entry) {
+  const auto& [path, e] = entry;
+  return CacheEntryInfo{path, e.dataset_key, e.bytes->size(), e.hits,
+                        e.saved_per_hit};
 }
 
 std::shared_ptr<const CacheStore::Snapshot> CacheStore::acquire(
@@ -26,10 +18,13 @@ std::shared_ptr<const CacheStore::Snapshot> CacheStore::acquire(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(path);
   if (it == entries_.end()) return nullptr;
-  it->second.lru = ++clock_;
-  auto snapshot = std::make_shared<Snapshot>();
-  snapshot->bytes = it->second.bytes;
-  snapshot->spilled = it->second.spilled;
+  Entry& entry = it->second;
+  recency_.erase(entry.lru);
+  entry.lru = ++clock_;
+  recency_.emplace(entry.lru, it);
+  ++entry.hits;
+  auto snapshot =
+      std::make_shared<Snapshot>(Snapshot{entry.bytes, entry.saved_per_hit});
   // Register the lease so a read that was lowered against this snapshot can
   // still resolve it after invalidation, pruning expired leases of the same
   // path while we are here.
@@ -46,10 +41,8 @@ std::shared_ptr<const CacheStore::Snapshot> CacheStore::snapshot_for_read(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(path);
   if (it != entries_.end()) {
-    auto snapshot = std::make_shared<Snapshot>();
-    snapshot->bytes = it->second.bytes;
-    snapshot->spilled = it->second.spilled;
-    return snapshot;
+    return std::make_shared<Snapshot>(
+        Snapshot{it->second.bytes, it->second.saved_per_hit});
   }
   // Entry gone (invalidated / evicted): serve the newest still-pinned lease,
   // dropping expired ones as we go.
@@ -66,89 +59,23 @@ std::shared_ptr<const CacheStore::Snapshot> CacheStore::snapshot_for_read(
   return newest;
 }
 
-std::optional<std::string> CacheStore::lru_victim_locked(
-    bool spilled_tier) const {
-  std::optional<std::string> victim;
-  std::uint64_t oldest = 0;
-  for (const auto& [path, entry] : entries_) {
-    if (entry.spilled != spilled_tier) continue;
-    if (!victim || entry.lru < oldest) {
-      victim = path;
-      oldest = entry.lru;
-    }
-  }
-  return victim;
-}
-
 InsertPlan CacheStore::plan_insert_locked(std::uint64_t bytes) const {
   InsertPlan plan;
-  struct Sim {
-    std::uint64_t bytes = 0;
-    std::uint64_t lru = 0;
-    bool spilled = false;
-    bool originally_spilled = false;
-  };
-  std::map<std::string, Sim> sim;
-  std::uint64_t mem_used = memory_bytes_;
-  std::uint64_t spill_used = spill_bytes_;
-  for (const auto& [path, entry] : entries_) {
-    sim[path] = Sim{entry.bytes ? entry.bytes->size() : 0, entry.lru,
-                    entry.spilled, entry.spilled};
+  if (bytes > capacity_) return plan;
+  std::uint64_t used = used_;
+  std::vector<Entries::const_iterator> victims;
+  for (auto lru = recency_.begin();
+       lru != recency_.end() && used + bytes > capacity_; ++lru) {
+    victims.push_back(lru->second);
+    used -= lru->second->second.bytes->size();
   }
-  auto lru_of = [&sim](bool spilled_tier) {
-    std::optional<std::string> victim;
-    std::uint64_t oldest = 0;
-    for (const auto& [path, e] : sim) {
-      if (e.spilled != spilled_tier) continue;
-      if (!victim || e.lru < oldest) {
-        victim = path;
-        oldest = e.lru;
-      }
-    }
-    return victim;
-  };
-  auto evict_spill_until = [&](std::uint64_t need) {
-    while (spill_used + need > spill_capacity_) {
-      auto victim = lru_of(true);
-      if (!victim) return false;
-      spill_used -= sim[*victim].bytes;
-      sim.erase(*victim);
-    }
-    return true;
-  };
-
-  if (bytes > memory_capacity_) {
-    // Oversized for memory: straight into the spill tier (or nowhere).
-    if (bytes > spill_capacity_) return plan;
-    if (!evict_spill_until(bytes)) return plan;
-  } else {
-    while (mem_used + bytes > memory_capacity_) {
-      auto victim = lru_of(false);
-      if (!victim) break;  // empty tier yet over "capacity": capacity 0
-      Sim& v = sim[*victim];
-      mem_used -= v.bytes;
-      if (v.bytes <= spill_capacity_ && evict_spill_until(v.bytes)) {
-        v.spilled = true;
-        spill_used += v.bytes;
-      } else {
-        sim.erase(*victim);
-      }
-    }
-    if (mem_used + bytes > memory_capacity_) return plan;
-  }
-
   plan.fits = true;
-  // The plan is the diff between the live map and the simulated end state:
-  // gone entirely -> evicted (reported with its pre-insert tier), still
-  // present but demoted -> spilled.
-  for (const auto& [path, entry] : entries_) {
-    auto it = sim.find(path);
-    if (it == sim.end()) {
-      plan.evicted.push_back(info_locked(path, entry));
-    } else if (it->second.spilled && !it->second.originally_spilled) {
-      plan.spilled.push_back(info_locked(path, entry));
-    }
-  }
+  // Report victims in path order: the judge sums their damage in this
+  // order, so it is part of the priced verdict.
+  std::sort(victims.begin(), victims.end(),
+            [](auto a, auto b) { return a->first < b->first; });
+  plan.evicted.reserve(victims.size());
+  for (auto victim : victims) plan.evicted.push_back(info_of(*victim));
   return plan;
 }
 
@@ -158,9 +85,8 @@ InsertPlan CacheStore::plan_insert(std::uint64_t bytes) const {
 }
 
 Status CacheStore::insert(const std::string& path,
-                          const std::string& dataset_key,
-                          std::vector<std::byte> payload, double saved_per_hit,
-                          InsertPlan* applied) {
+                          const std::string& dataset_key, ByteBuffer payload,
+                          double saved_per_hit, InsertPlan* applied) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.count(path) > 0) {
     return Status::AlreadyExists("already cached: " + path);
@@ -170,30 +96,25 @@ Status CacheStore::insert(const std::string& path,
   if (!plan.fits) {
     return Status::CapacityExceeded("cache cannot fit " + path);
   }
-  for (const auto& victim : plan.evicted) {
-    auto it = entries_.find(victim.path);
-    const std::uint64_t b = it->second.bytes ? it->second.bytes->size() : 0;
-    (it->second.spilled ? spill_bytes_ : memory_bytes_) -= b;
-    entries_.erase(it);
-  }
-  for (const auto& moved : plan.spilled) {
-    Entry& entry = entries_[moved.path];
-    const std::uint64_t b = entry.bytes ? entry.bytes->size() : 0;
-    entry.spilled = true;
-    memory_bytes_ -= b;
-    spill_bytes_ += b;
+  for (const CacheEntryInfo& victim : plan.evicted) {
+    erase_locked(entries_.find(victim.path));
   }
   Entry entry;
   entry.dataset_key = dataset_key;
-  entry.bytes =
-      std::make_shared<const std::vector<std::byte>>(std::move(payload));
-  entry.spilled = bytes > memory_capacity_;
+  entry.bytes = std::make_shared<ByteBuffer>(std::move(payload));
   entry.saved_per_hit = saved_per_hit;
   entry.lru = ++clock_;
-  (entry.spilled ? spill_bytes_ : memory_bytes_) += bytes;
-  entries_.emplace(path, std::move(entry));
+  auto it = entries_.emplace(path, std::move(entry)).first;
+  recency_.emplace(it->second.lru, it);
+  used_ += bytes;
   if (applied != nullptr) *applied = std::move(plan);
   return Status::Ok();
+}
+
+void CacheStore::erase_locked(Entries::iterator it) {
+  used_ -= it->second.bytes->size();
+  recency_.erase(it->second.lru);
+  entries_.erase(it);
 }
 
 bool CacheStore::contains(const std::string& path) const {
@@ -205,76 +126,36 @@ std::optional<CacheEntryInfo> CacheStore::info(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(path);
   if (it == entries_.end()) return std::nullopt;
-  return info_locked(path, it->second);
-}
-
-void CacheStore::record_hit(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(path);
-  if (it != entries_.end()) ++it->second.hits;
+  return info_of(*it);
 }
 
 bool CacheStore::erase(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(path);
   if (it == entries_.end()) return false;
-  const std::uint64_t b = it->second.bytes ? it->second.bytes->size() : 0;
-  (it->second.spilled ? spill_bytes_ : memory_bytes_) -= b;
-  entries_.erase(it);
+  erase_locked(it);
   return true;
-}
-
-std::size_t CacheStore::erase_prefix(const std::string& prefix) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t dropped = 0;
-  for (auto it = entries_.lower_bound(prefix); it != entries_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    const std::uint64_t b = it->second.bytes ? it->second.bytes->size() : 0;
-    (it->second.spilled ? spill_bytes_ : memory_bytes_) -= b;
-    it = entries_.erase(it);
-    ++dropped;
-  }
-  return dropped;
 }
 
 void CacheStore::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  recency_.clear();
   entries_.clear();
-  memory_bytes_ = 0;
-  spill_bytes_ = 0;
+  used_ = 0;
 }
 
 CacheStoreStats CacheStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  CacheStoreStats out;
-  out.memory_capacity = memory_capacity_;
-  out.spill_capacity = spill_capacity_;
-  out.memory_bytes = memory_bytes_;
-  out.spill_bytes = spill_bytes_;
-  out.entries = entries_.size();
-  for (const auto& [path, entry] : entries_) {
-    (void)path;
-    if (entry.spilled) ++out.spilled_entries;
-  }
-  return out;
+  return CacheStoreStats{capacity_, used_, entries_.size()};
 }
 
 std::vector<CacheEntryInfo> CacheStore::entries() const {
-  std::vector<std::pair<std::uint64_t, CacheEntryInfo>> rows;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rows.reserve(entries_.size());
-    for (const auto& [path, entry] : entries_) {
-      rows.emplace_back(entry.lru, info_locked(path, entry));
-    }
-  }
-  std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second.path < b.second.path;
-  });
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<CacheEntryInfo> out;
-  out.reserve(rows.size());
-  for (auto& row : rows) out.push_back(std::move(row.second));
+  out.reserve(recency_.size());
+  for (auto lru = recency_.rbegin(); lru != recency_.rend(); ++lru) {
+    out.push_back(info_of(*lru->second));
+  }
   return out;
 }
 

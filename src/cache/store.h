@@ -1,12 +1,12 @@
 // CacheStore: the bounded data plane of the mid-tier read cache.
 //
-// Two tiers, both simulated in host memory: a fast "memory" tier and a
-// larger local-disk "spill" tier. Entries are whole stored objects keyed by
-// their object path (which encodes dataset + timestep + run), plus the
-// dataset key so invalidation and heat lookups can work at dataset
-// granularity. Eviction is plain LRU per tier with a cascade: a memory
-// insert that does not fit first spills the least-recently-used memory
-// entries to the spill tier, and the spill tier evicts outright.
+// One LRU tier in node-local memory. Entries are whole stored objects keyed
+// by their object path (which encodes dataset + timestep + run), plus the
+// dataset key so heat lookups can work at dataset granularity. An insert
+// that does not fit evicts least-recently-used entries until it does.
+// Longer-lived local-disk copies are not the cache's business: the mover
+// (flow::StagingScheduler) promotes replicas to LOCALDISK, priced and
+// catalogued like every other placement.
 //
 // Readers pin entries through leases: `acquire` hands out a shared snapshot
 // that keeps the admission-time bytes readable even if the entry is
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 
 namespace msra::cache {
@@ -35,7 +36,6 @@ struct CacheEntryInfo {
   std::string path;
   std::string dataset_key;
   std::uint64_t bytes = 0;
-  bool spilled = false;
   std::uint64_t hits = 0;
   double saved_per_hit = 0.0;  ///< priced refetch - serve at admission time
 };
@@ -43,11 +43,8 @@ struct CacheEntryInfo {
 /// Occupancy snapshot of the whole store.
 struct CacheStoreStats {
   std::uint64_t memory_capacity = 0;
-  std::uint64_t spill_capacity = 0;
   std::uint64_t memory_bytes = 0;
-  std::uint64_t spill_bytes = 0;
   std::uint64_t entries = 0;
-  std::uint64_t spilled_entries = 0;
 };
 
 /// What an insert of `bytes` would do to the resident set (computed with
@@ -55,22 +52,22 @@ struct CacheStoreStats {
 /// of exactly the evictions that will happen).
 struct InsertPlan {
   bool fits = false;
-  std::vector<CacheEntryInfo> spilled;  ///< demoted memory -> spill
-  std::vector<CacheEntryInfo> evicted;  ///< dropped outright
+  std::vector<CacheEntryInfo> evicted;  ///< in path order
 };
 
 class CacheStore {
  public:
-  /// Immutable bytes + the tier they were served from.
+  /// Immutable bytes of one pinned entry.
   struct Snapshot {
-    std::shared_ptr<const std::vector<std::byte>> bytes;
-    bool spilled = false;
+    std::shared_ptr<const ByteBuffer> bytes;
+    double saved_per_hit = 0.0;  ///< the entry's priced saving per hit
   };
 
-  CacheStore(std::uint64_t memory_capacity, std::uint64_t spill_capacity);
+  explicit CacheStore(std::uint64_t capacity);
 
-  /// Pins `path` for an upcoming read: bumps LRU recency and returns a
-  /// lease snapshot that stays readable past invalidation. Null if absent.
+  /// Pins `path` for an upcoming read: bumps LRU recency, counts a hit and
+  /// returns a lease snapshot that stays readable past invalidation. Null
+  /// if absent.
   std::shared_ptr<const Snapshot> acquire(const std::string& path);
 
   /// Resolves `path` for serving: the resident entry first, else the newest
@@ -81,23 +78,18 @@ class CacheStore {
   /// LRU consequences of inserting `bytes` right now, without mutating.
   InsertPlan plan_insert(std::uint64_t bytes) const;
 
-  /// Inserts a memory-tier entry, spilling/evicting per plan_insert. Fails
-  /// with kCapacityExceeded when the payload fits in neither tier and with
+  /// Inserts an entry, evicting per plan_insert. Fails with
+  /// kCapacityExceeded when the payload is larger than the store and with
   /// kAlreadyExists when `path` is resident.
   Status insert(const std::string& path, const std::string& dataset_key,
-                std::vector<std::byte> payload, double saved_per_hit,
+                ByteBuffer payload, double saved_per_hit,
                 InsertPlan* applied = nullptr);
 
   bool contains(const std::string& path) const;
   std::optional<CacheEntryInfo> info(const std::string& path) const;
 
-  /// Counts a served hit against the entry (stats only).
-  void record_hit(const std::string& path);
-
   /// Drops `path`; pinned leases keep their bytes. False if absent.
   bool erase(const std::string& path);
-  /// Drops every entry whose path starts with `prefix`; returns the count.
-  std::size_t erase_prefix(const std::string& prefix);
   void clear();
 
   CacheStoreStats stats() const;
@@ -107,26 +99,25 @@ class CacheStore {
  private:
   struct Entry {
     std::string dataset_key;
-    std::shared_ptr<const std::vector<std::byte>> bytes;
-    bool spilled = false;
+    std::shared_ptr<const ByteBuffer> bytes;
     double saved_per_hit = 0.0;
     std::uint64_t hits = 0;
     std::uint64_t lru = 0;  ///< logical recency clock (higher = more recent)
   };
+  using Entries = std::map<std::string, Entry>;
 
-  CacheEntryInfo info_locked(const std::string& path, const Entry& entry) const;
-  /// Least-recently-used resident path of the requested tier (ties broken
-  /// by path for determinism), or nullopt when the tier is empty.
-  std::optional<std::string> lru_victim_locked(bool spilled_tier) const;
+  static CacheEntryInfo info_of(const Entries::value_type& entry);
   InsertPlan plan_insert_locked(std::uint64_t bytes) const;
+  /// Drops one resident entry and its recency slot.
+  void erase_locked(Entries::iterator it);
 
   mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
+  Entries entries_;
+  /// Recency index over entries_: LRU clock value -> entry, oldest first.
+  std::map<std::uint64_t, Entries::iterator> recency_;
   std::multimap<std::string, std::weak_ptr<const Snapshot>> leases_;
-  std::uint64_t memory_capacity_;
-  std::uint64_t spill_capacity_;
-  std::uint64_t memory_bytes_ = 0;
-  std::uint64_t spill_bytes_ = 0;
+  std::uint64_t capacity_;
+  std::uint64_t used_ = 0;
   std::uint64_t clock_ = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <queue>
 #include <utility>
 
-#include "cache/cache.h"
 #include "core/client.h"
 #include "obs/metrics.h"
 
@@ -124,10 +123,6 @@ Workload& Workload::read_box(std::string dataset, int timestep,
   step.label = "read_box " + dataset + "/t" + std::to_string(timestep);
   step.lower = [dataset, timestep, box, options = std::move(options)](
                    TenantContext& ctx, StagedIo& io) -> StatusOr<bool> {
-    if (options.streams != 0) {
-      return Status::InvalidArgument(
-          "staged reads cannot reshape the endpoint fast path (streams)");
-    }
     if (options.timeline != nullptr) {
       return Status::InvalidArgument(
           "fleet actors run on their own clock (timeline override)");
@@ -304,16 +299,12 @@ void Fleet::run_slice(Actor& actor) {
     if (!actor.io->cursor.done()) return;
     Status status = actor.io->cursor.status();
     // A drained cache-miss read offers its landed payload for priced
-    // admission — the same hook the synchronous read_whole path runs.
-    // Cache fill is the system's own traffic: background by construction.
+    // admission — the same hook the synchronous read_whole path runs. The
+    // buffer is dropped right after, so the cache takes it over.
     if (status.ok() && actor.io->staged.access.cache_offer.has_value()) {
-      if (cache::ReadCache* cache = system_.cache()) {
-        simkit::QosScope background(
-            system_.qos_tag(qos::TenantClass::kBackground));
-        const CacheOffer& offer = *actor.io->staged.access.cache_offer;
-        (void)cache->offer(offer.path, offer.dataset_key, actor.io->staged.out,
-                           offer.origin, actor.client->timeline().now());
-      }
+      offer_to_cache(system_, *actor.io->staged.access.cache_offer,
+                     std::move(actor.io->staged.out),
+                     actor.client->timeline().now());
     }
     actor.io.reset();
     if (status.ok() && step.finish) status = step.finish(ctx);
@@ -339,7 +330,6 @@ void Fleet::run_slice(Actor& actor) {
       actor.io = std::make_unique<Actor::Io>(std::move(staged),
                                              &system_.tracer(),
                                              actor.client->timeline());
-      actor.io->cursor.set_qos(system_.qos_tag(tenant_class));
       return;
     }
     ++actor.step;  // nothing to do (e.g. DISABLEd dump)

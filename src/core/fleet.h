@@ -151,9 +151,8 @@ class Workload {
   /// Staged whole-array read.
   Workload& read_whole(std::string dataset, int timestep);
 
-  /// Staged sub-array read. `options.streams` must be 0 (staged reads
-  /// cannot reshape the shared endpoint fast path) and `options.timeline`
-  /// must be null (a fleet actor always runs on its own clock).
+  /// Staged sub-array read. `options.timeline` must be null (a fleet actor
+  /// always runs on its own clock).
   Workload& read_box(std::string dataset, int timestep, prt::LocalBox box,
                      ReadOptions options = {});
 

@@ -34,12 +34,6 @@ struct ReadOptions {
   /// How strided sub-array requests hit storage.
   runtime::AccessStrategy strategy = runtime::AccessStrategy::kSieving;
 
-  /// Concurrent chunk streams for bulk remote transfers. 0 keeps the
-  /// handle/endpoint default; >= 1 enables the pipelined fast path for
-  /// this read with that many chunk round-trips in flight (1 = chunked
-  /// but serial, useful as a control).
-  int streams = 0;
-
   /// Span name recorded in the system tracer for this read. Empty uses the
   /// default ("read_box <dataset>"). (The explicit empty default keeps
   /// partial designated initializers warning-free under -Wextra.)
@@ -62,10 +56,6 @@ struct OpenOptions {
   /// Producer application that registered the dataset. Empty means "any":
   /// the catalog is searched by dataset name alone.
   std::string producer_app;
-
-  /// Default `streams` for every read on the returned handle (same
-  /// semantics as ReadOptions::streams; per-read options still win).
-  int streams = 0;
 };
 
 }  // namespace msra::core

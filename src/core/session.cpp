@@ -77,7 +77,6 @@ StatusOr<DatasetHandle*> Session::open_existing(const std::string& name,
                                      system_.cluster_size())};
   auto handle = std::unique_ptr<DatasetHandle>(new DatasetHandle(
       this, record->app, record->desc, resolved));
-  handle->default_streams_ = options.streams;
   DatasetHandle* raw = handle.get();
   handles_.emplace(name, std::move(handle));
   return raw;
@@ -472,6 +471,15 @@ Status DatasetHandle::read_timestep(prt::Comm& comm, int timestep,
   return status;
 }
 
+void offer_to_cache(StorageSystem& system, const CacheOffer& offer,
+                    ByteBuffer payload, simkit::SimTime now) {
+  cache::ReadCache* cache = system.cache();
+  if (cache == nullptr) return;
+  simkit::QosScope background(system.qos_tag(qos::TenantClass::kBackground));
+  (void)cache->offer(offer.path, offer.dataset_key, std::move(payload),
+                     offer.origin, now);
+}
+
 StatusOr<StagedAccess> DatasetHandle::stage_read_whole(
     int timestep, const ReadOptions& options) {
   if (!enabled()) {
@@ -513,12 +521,13 @@ StatusOr<StagedAccess> DatasetHandle::stage_read_whole(
   return staged;
 }
 
-StatusOr<StagedAccess> DatasetHandle::lower_read_box(
+StatusOr<StagedAccess> DatasetHandle::stage_read_box(
     int timestep, const prt::LocalBox& box, std::size_t buffer_bytes,
-    const ReadOptions& options, simkit::Timeline& timeline) {
+    const ReadOptions& options) {
   if (!enabled()) {
     return Status::NotFound("dataset " + desc_.name + " was DISABLEd");
   }
+  simkit::Timeline& timeline = timeline_or_session(options.timeline);
   MSRA_ASSIGN_OR_RETURN(ReplicaChoice choice, locate(timestep));
   const InstanceRecord& record = choice.record;
   runtime::StorageEndpoint& endpoint = session_->system_.endpoint(choice.address);
@@ -547,16 +556,6 @@ StatusOr<StagedAccess> DatasetHandle::lower_read_box(
   staged.endpoint = target;
   staged.cache_pin = std::move(pin);
   return staged;
-}
-
-StatusOr<StagedAccess> DatasetHandle::stage_read_box(
-    int timestep, const prt::LocalBox& box, std::size_t buffer_bytes,
-    const ReadOptions& options) {
-  // No streams override here (and the handle default is deliberately not
-  // applied either): reshaping the endpoint's fast path is a scoped,
-  // exclusive affair the synchronous path brackets around execution.
-  return lower_read_box(timestep, box, buffer_bytes, options,
-                        timeline_or_session(options.timeline));
 }
 
 StatusOr<StagedAccess> DatasetHandle::stage_dump(int timestep) {
@@ -636,14 +635,9 @@ StatusOr<std::vector<std::byte>> DatasetHandle::read_whole(
                                             &session_->system_.tracer());
     if (status.ok()) {
       if (staged.cache_offer.has_value()) {
-        if (cache::ReadCache* cache = session_->system_.cache()) {
-          // Cache fill is system traffic: background by construction.
-          simkit::QosScope background(session_->system_.qos_tag(
-              qos::TenantClass::kBackground));
-          (void)cache->offer(staged.cache_offer->path,
-                             staged.cache_offer->dataset_key, out,
-                             staged.cache_offer->origin, timeline.now());
-        }
+        // One copy: the caller keeps `out`, the cache keeps its own bytes.
+        offer_to_cache(session_->system_, *staged.cache_offer,
+                       ByteBuffer(out.begin(), out.end()), timeline.now());
       }
       return out;
     }
@@ -667,32 +661,10 @@ Status DatasetHandle::read_box(int timestep, const prt::LocalBox& box,
                  options.trace_label.empty() ? "read_box " + desc_.name
                                              : options.trace_label);
   MSRA_ASSIGN_OR_RETURN(StagedAccess staged,
-                        lower_read_box(timestep, box, out.size(), options,
-                                       timeline));
-  runtime::StorageEndpoint& endpoint = *staged.endpoint;
-
-  // Per-call pipelining override: ReadOptions::streams wins over the
-  // handle default (OpenOptions::streams); 0 everywhere leaves the
-  // endpoint's own fast-path configuration untouched.
-  const int streams = options.streams != 0 ? options.streams : default_streams_;
-  struct FastPathGuard {
-    runtime::StorageEndpoint* ep = nullptr;
-    runtime::FastPathConfig saved;
-    ~FastPathGuard() {
-      if (ep != nullptr) ep->set_fast_path(saved);
-    }
-  } guard;
-  if (streams >= 1) {
-    guard.saved = endpoint.fast_path();
-    guard.ep = &endpoint;
-    runtime::FastPathConfig cfg = guard.saved;
-    cfg.pipelined_transfers = true;
-    cfg.streams = static_cast<std::uint32_t>(streams);
-    endpoint.set_fast_path(cfg);
-  }
-
-  return runtime::PlanExecutor::execute(staged.plan, endpoint, timeline, out,
-                                        {}, &session_->system_.tracer());
+                        stage_read_box(timestep, box, out.size(), options));
+  return runtime::PlanExecutor::execute(staged.plan, *staged.endpoint,
+                                        timeline, out, {},
+                                        &session_->system_.tracer());
 }
 
 }  // namespace msra::core

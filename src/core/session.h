@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 
+#include "common/bytes.h"
 #include "core/catalog.h"
 #include "core/options.h"
 #include "core/placement.h"
@@ -60,6 +61,12 @@ struct CacheOffer {
   std::string dataset_key;  ///< "app/dataset" (heat / invalidation key)
   Location origin = Location::kRemoteTape;  ///< replica the read resolved to
 };
+
+/// Hands a cache-miss read's landed `payload` to `system`'s cache for
+/// priced admission at virtual instant `now` (no-op without a cache). Cache
+/// fill is the system's own traffic: it books as background.
+void offer_to_cache(StorageSystem& system, const CacheOffer& offer,
+                    ByteBuffer payload, simkit::SimTime now);
 
 /// One lowered serial access, ready for stepwise execution: the plan plus
 /// the endpoint it runs against. Produced by DatasetHandle::stage_*; the
@@ -129,8 +136,6 @@ class DatasetHandle {
                                           const ReadOptions& options = {});
 
   /// Lowers a sub-array read of `box` into a buffer of `buffer_bytes`.
-  /// `options.streams` is ignored: a staged plan must not reshape the
-  /// shared endpoint's fast path while other actors interleave with it.
   StatusOr<StagedAccess> stage_read_box(int timestep, const prt::LocalBox& box,
                                         std::size_t buffer_bytes,
                                         const ReadOptions& options = {});
@@ -202,21 +207,12 @@ class DatasetHandle {
   /// owning session's timeline.
   simkit::Timeline& timeline_or_session(simkit::Timeline* timeline) const;
 
-  /// Shared lowering of read_box / stage_read_box (everything but the
-  /// streams override, which only the synchronous path may apply).
-  StatusOr<StagedAccess> lower_read_box(int timestep, const prt::LocalBox& box,
-                                        std::size_t buffer_bytes,
-                                        const ReadOptions& options,
-                                        simkit::Timeline& timeline);
-
   Session* session_;
   std::string app_;  ///< producer application owning the stored objects
   DatasetDesc desc_;
   ReplicaAddress address_;  ///< current write target (class + server)
   std::array<int, 3> subfile_chunks_ = {1, 1, 1};
   std::atomic<std::uint64_t> writes_{0};
-  /// Handle-wide default for ReadOptions::streams (OpenOptions::streams).
-  int default_streams_ = 0;
 };
 
 /// Session options (who runs what, on how many processors, for how long).

@@ -1,78 +1,34 @@
 #include "runtime/async_io.h"
 
-#include "obs/metrics.h"
 #include "simkit/time.h"
 
 namespace msra::runtime {
 
-namespace {
-/// Publishes the writer's queue depth into the endpoint's registry, if any.
-/// A histogram captures the depth distribution (was write-behind actually
-/// buffering?) and a gauge holds the latest value.
-void record_depth(StorageEndpoint& endpoint, std::uint64_t depth) {
-  obs::MetricsRegistry* registry = endpoint.metrics();
-  if (registry == nullptr || !registry->enabled()) return;
-  registry->gauge("async.queue_depth")->set(static_cast<double>(depth));
-  registry->histogram("async.queue_depth_dist")->record(static_cast<double>(depth));
-}
-}  // namespace
-
-// ------------------------------------------------------------ AsyncWriter --
-
 AsyncWriter::AsyncWriter(StorageEndpoint& endpoint, double memcpy_bandwidth)
-    : endpoint_(endpoint), memcpy_bandwidth_(memcpy_bandwidth), pool_(1) {}
-
-AsyncWriter::~AsyncWriter() { pool_.wait_idle(); }
+    : endpoint_(endpoint), memcpy_bandwidth_(memcpy_bandwidth) {}
 
 Status AsyncWriter::submit(simkit::Timeline& caller, const std::string& path,
-                           std::vector<std::byte> data, OpenMode mode) {
-  std::uint64_t depth;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!first_error_.ok()) return first_error_;  // fail fast after an error
-    ++submitted_;
-    depth = ++pending_;
-  }
-  record_depth(endpoint_, depth);
+                           std::span<const std::byte> data, OpenMode mode) {
+  if (!first_error_.ok()) return first_error_;  // fail fast after an error
+  ++submitted_;
   // The caller pays only for staging the buffer.
   caller.advance(simkit::transfer_time(data.size(), memcpy_bandwidth_));
   // The background work cannot start before the submission instant.
   engine_.advance_to(caller.now());
-  auto payload = std::make_shared<std::vector<std::byte>>(std::move(data));
-  pool_.submit([this, path, payload, mode] {
-    auto session = FileSession::start(endpoint_, engine_, path, mode);
-    Status status = session.ok() ? Status::Ok() : session.status();
-    if (status.ok()) {
-      status = session->write(*payload);
-      Status fin = session->finish();
-      if (status.ok()) status = fin;
-    }
-    std::uint64_t depth;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!status.ok() && first_error_.ok()) first_error_ = status;
-      depth = --pending_;
-    }
-    record_depth(endpoint_, depth);
-  });
+  auto session = FileSession::start(endpoint_, engine_, path, mode);
+  Status status = session.ok() ? Status::Ok() : session.status();
+  if (status.ok()) {
+    status = session->write(data);
+    Status fin = session->finish();
+    if (status.ok()) status = fin;
+  }
+  first_error_ = status;
   return Status::Ok();
 }
 
 Status AsyncWriter::flush(simkit::Timeline& caller) {
-  pool_.wait_idle();
   caller.advance_to(engine_.now());
-  std::lock_guard<std::mutex> lock(mutex_);
   return first_error_;
-}
-
-std::uint64_t AsyncWriter::submitted() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return submitted_;
-}
-
-std::uint64_t AsyncWriter::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_;
 }
 
 }  // namespace msra::runtime

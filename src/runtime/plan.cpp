@@ -599,11 +599,6 @@ PlanCursor::PlanCursor(const IoPlan& plan, StorageEndpoint& endpoint,
 
 Status PlanCursor::step() {
   if (done()) return result_;
-  // Every device booking this stage makes carries the cursor's tag (the
-  // scope is thread-local, so cursors on concurrent host threads each
-  // classify their own bookings).
-  std::optional<simkit::QosScope> qos_scope;
-  if (qos_.has_value()) qos_scope.emplace(*qos_);
   const PlanStage& s = plan_->stages[stage_++];
   if (s.kind == PlanStageKind::kExchange) return result_;  // annotation only
   obs::Span span(tracer_, *timeline_, "plan." + s.label);

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "prt/dist.h"
 #include "runtime/parallel_io.h"
 #include "runtime/sieve.h"
-#include "simkit/qos.h"
 
 namespace msra::obs {
 class MetricsRegistry;
@@ -257,13 +255,6 @@ class PlanCursor {
   /// Running first-error status (the final result once done()).
   Status status() const { return result_; }
 
-  /// Books every remaining stage under `tag`: step() enters a QosScope
-  /// around the stage, so the device layer sees the tenant's class even
-  /// when the cursor is driven from another host thread. The tag a fleet
-  /// actor resolved at lowering time rides the cursor — the propagation
-  /// path from TenantClass down to Resource::acquire.
-  void set_qos(const simkit::QosTag& tag) { qos_ = tag; }
-
  private:
   const IoPlan* plan_;
   StorageEndpoint* endpoint_;
@@ -279,7 +270,6 @@ class PlanCursor {
   bool handle_open_ = false;
   HandleId handle_{};
   Status result_ = Status::Ok();
-  std::optional<simkit::QosTag> qos_;
 };
 
 /// Executes a lowered plan against an endpoint. The executor issues exactly

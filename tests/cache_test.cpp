@@ -1,18 +1,21 @@
 // The priced mid-tier read cache (src/cache/) and the exponential heat
 // decay that feeds its admission judge: decay math, predictor-priced
 // admission vs eviction damage, write-through invalidation (including the
-// pinned-reader guarantee), spill roundtrips, the concurrency contract
-// (run under TSan in CI), 1k-tenant fleet determinism, and the cache-aware
-// CacheAssumptions pricing against measured re-reads.
+// pinned-reader guarantee), the store's LRU against a reference model, the
+// concurrency contract (run under TSan in CI), 1k-tenant fleet determinism,
+// and the cache-aware CacheAssumptions pricing against measured re-reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <latch>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/cache.h"
+#include "common/rng.h"
 #include "core/placement.h"
 #include "core/msra.h"
 #include "core/session.h"
@@ -135,11 +138,9 @@ class CacheTest : public ::testing::Test {
     return *handle;
   }
 
-  ReadCache* enable_cache(std::uint64_t memory_bytes = 64ull << 20,
-                          std::uint64_t spill_bytes = 0) {
+  ReadCache* enable_cache(std::uint64_t memory_bytes = 64ull << 20) {
     CacheConfig config;
     config.memory_bytes = memory_bytes;
-    config.spill_bytes = spill_bytes;
     return system_.enable_cache(config, &predictor_);
   }
 
@@ -225,8 +226,8 @@ TEST_F(CacheTest, EvictionRequiresBenefitOverDamage) {
   auto record = session.catalog().instance("astro", "alpha", 0);
   ASSERT_TRUE(record.ok());
 
-  // Memory fits one object, no spill tier: admitting beta evicts alpha.
-  ReadCache* cache = enable_cache(record->bytes + 512, 0);
+  // Memory fits one object: admitting beta evicts alpha.
+  ReadCache* cache = enable_cache(record->bytes + 512);
 
   ASSERT_TRUE(a->read_whole(0).ok());  // miss; admits alpha
   ASSERT_TRUE(cache->contains(record->path));
@@ -314,8 +315,8 @@ TEST_F(CacheTest, PinnedReaderSurvivesInvalidation) {
 }
 
 TEST(CacheStoreTest, LeaseOutlivesErase) {
-  CacheStore store(1 << 20, 0);
-  std::vector<std::byte> payload(1024, std::byte{0x5c});
+  CacheStore store(1 << 20);
+  ByteBuffer payload(1024, std::byte{0x5c});
   ASSERT_TRUE(store.insert("obj", "app/ds", payload, 0.0).ok());
 
   auto lease = store.acquire("obj");
@@ -333,43 +334,127 @@ TEST(CacheStoreTest, LeaseOutlivesErase) {
       << "released leases must not resurrect dropped entries";
 }
 
-// ------------------------------------------------------- spill roundtrip --
+// The store's LRU against a reference: a vector in recency order, least
+// recently used first. An insert evicts from the front until the payload
+// fits; the plan reports its victims in path order.
+struct ReferenceLru {
+  struct Item {
+    std::string path;
+    std::uint64_t bytes = 0;
+  };
+  std::uint64_t capacity = 0;
+  std::vector<Item> items;
 
-TEST_F(CacheTest, SpillRoundtripServesDemotedEntries) {
-  Session session(system_, {.application = "astro", .nprocs = 1,
-                            .iterations = 2, .predictor = &predictor_});
-  auto* a = write_dataset(session, "alpha", Location::kRemoteTape, 1);
-  auto* b = write_dataset(session, "beta", Location::kRemoteTape, 1);
-  auto record_a = session.catalog().instance("astro", "alpha", 0);
-  ASSERT_TRUE(record_a.ok());
-
-  // Memory fits one object; the spill tier catches the demotion.
-  ReadCache* cache = enable_cache(record_a->bytes + 512, 1ull << 20);
-
-  auto v1 = a->read_whole(0);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(b->read_whole(0).ok());  // admits beta; alpha spills
-
-  const CacheStats stats = cache->stats();
-  EXPECT_EQ(stats.admitted, 2u);
-  EXPECT_GE(stats.spill_moves, 1u);
-  EXPECT_EQ(stats.store.spilled_entries, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
-  ASSERT_TRUE(cache->contains(record_a->path));
-
-  bool found_spilled = false;
-  for (const CacheEntryInfo& entry : cache->entries()) {
-    if (entry.path == record_a->path) found_spilled = entry.spilled;
+  std::vector<Item>::iterator find(const std::string& path) {
+    return std::find_if(items.begin(), items.end(),
+                        [&](const Item& item) { return item.path == path; });
   }
-  EXPECT_TRUE(found_spilled) << "alpha must be resident on the spill tier";
+  std::uint64_t used() const {
+    std::uint64_t sum = 0;
+    for (const Item& item : items) sum += item.bytes;
+    return sum;
+  }
+  /// Victims of inserting `bytes` in path order; nullopt if it never fits.
+  std::optional<std::vector<std::string>> plan(std::uint64_t bytes) const {
+    if (bytes > capacity) return std::nullopt;
+    std::vector<std::string> victims;
+    std::uint64_t left = used();
+    for (const Item& item : items) {
+      if (left + bytes <= capacity) break;
+      victims.push_back(item.path);
+      left -= item.bytes;
+    }
+    std::sort(victims.begin(), victims.end());
+    return victims;
+  }
+  bool insert(const std::string& path, std::uint64_t bytes) {
+    if (find(path) != items.end()) return false;
+    const auto victims = plan(bytes);
+    if (!victims) return false;
+    for (const std::string& victim : *victims) items.erase(find(victim));
+    items.push_back({path, bytes});
+    return true;
+  }
+  bool touch(const std::string& path) {
+    auto it = find(path);
+    if (it == items.end()) return false;
+    const Item item = *it;
+    items.erase(it);
+    items.push_back(item);
+    return true;
+  }
+  bool erase(const std::string& path) {
+    auto it = find(path);
+    if (it == items.end()) return false;
+    items.erase(it);
+    return true;
+  }
+};
 
-  // A hit on the spilled entry still serves the admitted bytes.
-  system_.reset_time();
-  simkit::Timeline tl;
-  auto v2 = a->read_whole(0, {.timeline = &tl});
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(*v1, *v2);
-  EXPECT_EQ(cache->stats().hits, 1u);
+std::vector<std::string> paths_of(const std::vector<CacheEntryInfo>& infos) {
+  std::vector<std::string> out;
+  for (const CacheEntryInfo& info : infos) out.push_back(info.path);
+  return out;
+}
+
+// Seeded mixes of insert, acquire, erase and plan_insert over 12 paths of
+// mixed sizes (one empty, one larger than the store) must match the
+// reference step for step: fits, the victims and their order, occupancy
+// and the recency order of entries().
+TEST(CacheStoreTest, LruPlanMatchesReferenceModel) {
+  constexpr std::uint64_t kCapacity = 40 << 10;
+  const std::uint64_t sizes[12] = {0,        1 << 10,  3 << 10,  4 << 10,
+                                   6 << 10,  8 << 10,  9 << 10,  12 << 10,
+                                   16 << 10, 20 << 10, 40 << 10, 41 << 10};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    CacheStore store(kCapacity);
+    ReferenceLru model{kCapacity, {}};
+    for (int op = 0; op < 300; ++op) {
+      // Path names are shuffled against sizes so path order, size order and
+      // recency order all differ.
+      const std::size_t i = rng.next_below(12);
+      const std::string path = "obj" + std::to_string((i * 7) % 12 + 10);
+      switch (rng.next_below(4)) {
+        case 0: {
+          InsertPlan applied;
+          const bool ok = store
+                              .insert(path, "app/ds", ByteBuffer(sizes[i]),
+                                      0.0, &applied)
+                              .ok();
+          const auto victims = model.plan(sizes[i]);
+          ASSERT_EQ(ok, model.insert(path, sizes[i])) << path;
+          if (ok) {
+            EXPECT_EQ(paths_of(applied.evicted), *victims);
+          }
+          break;
+        }
+        case 1:
+          ASSERT_EQ(store.acquire(path) != nullptr, model.touch(path));
+          break;
+        case 2:
+          ASSERT_EQ(store.erase(path), model.erase(path));
+          break;
+        default: {
+          const std::uint64_t bytes = sizes[rng.next_below(12)];
+          const InsertPlan plan = store.plan_insert(bytes);
+          const auto victims = model.plan(bytes);
+          ASSERT_EQ(plan.fits, victims.has_value()) << bytes;
+          if (plan.fits) {
+            EXPECT_EQ(paths_of(plan.evicted), *victims);
+          }
+          break;
+        }
+      }
+      EXPECT_EQ(store.stats().memory_bytes, model.used());
+      std::vector<std::string> mru_first;
+      for (auto it = model.items.rbegin(); it != model.items.rend(); ++it) {
+        mru_first.push_back(it->path);
+      }
+      ASSERT_EQ(paths_of(store.entries()), mru_first) << "op " << op;
+    }
+  }
 }
 
 // ------------------------------------------------- concurrency contract --
@@ -381,7 +466,6 @@ TEST_F(CacheTest, SpillRoundtripServesDemotedEntries) {
 TEST(CacheConcurrencyTest, ReadersInvalidatorAndPressureEviction) {
   CacheConfig config;
   config.memory_bytes = 256 << 10;
-  config.spill_bytes = 256 << 10;
   ReadCache cache(nullptr, nullptr, nullptr, config);
 
   constexpr int kObjects = 8;
@@ -427,7 +511,7 @@ TEST(CacheConcurrencyTest, ReadersInvalidatorAndPressureEviction) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kReaders * kLookupsPerReader));
   EXPECT_GE(stats.invalidations, 1u);
-  EXPECT_GE(stats.evictions + stats.spill_moves, 1u);
+  EXPECT_GE(stats.evictions, 1u);
 
   // Still fully usable afterwards.
   ASSERT_TRUE(cache.insert_probe("after", "app/ds", payload).ok());

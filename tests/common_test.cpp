@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/threadpool.h"
 
 namespace msra {
 namespace {
@@ -130,31 +128,6 @@ TEST(RngTest, GaussianHasReasonableMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sq / n, 1.0, 0.1);
-}
-
-// ------------------------------------------------------------ ThreadPool --
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count++; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&] { count++; });
-  }
-  EXPECT_EQ(count.load(), 50);
 }
 
 // ----------------------------------------------------------------- Stats --

@@ -437,43 +437,6 @@ TEST_F(PoolTest, BreakdownSumsToBilledTimeWithPooling) {
   EXPECT_NEAR(billed, elapsed, 1e-9 * elapsed);
 }
 
-// ------------------------------------------- core streams plumbing --------
-
-TEST(CoreStreamsTest, ReadBoxStreamsOptionKeepsDataAndRestoresConfig) {
-  StorageSystem system(HardwareProfile::test_profile());
-  core::Session session(system, {.application = "fp", .nprocs = 1});
-  core::DatasetDesc desc;
-  desc.name = "vol";
-  desc.dims = {32, 32, 32};
-  desc.etype = core::ElementType::kFloat32;
-  desc.location = Location::kRemoteDisk;
-  auto handle = session.open(desc);
-  ASSERT_TRUE(handle.ok());
-  auto layout = (*handle)->layout(1);
-  ASSERT_TRUE(layout.ok());
-  auto block = pattern(layout->global_bytes(), 11);
-  {
-    World world(1);
-    world.run([&](Comm& comm) {
-      ASSERT_TRUE((*handle)->write_timestep(comm, 0, block).ok());
-    });
-  }
-  prt::LocalBox box;
-  box.extent = {prt::Extent{0, 32}, prt::Extent{0, 32}, prt::Extent{0, 32}};
-  std::vector<std::byte> plain(block.size()), streamed(block.size());
-  Timeline tl;
-  ASSERT_TRUE((*handle)->read_box(0, box, plain, {.timeline = &tl}).ok());
-  core::ReadOptions options;
-  options.streams = 4;
-  options.timeline = &tl;
-  ASSERT_TRUE((*handle)->read_box(0, box, streamed, options).ok());
-  EXPECT_EQ(plain, block);
-  EXPECT_EQ(streamed, block);
-  // The per-read override must not leak into the endpoint's sticky config.
-  StorageEndpoint& endpoint = system.endpoint(Location::kRemoteDisk);
-  EXPECT_FALSE(endpoint.fast_path().pipelined_transfers);
-}
-
 }  // namespace
 }  // namespace msra::runtime
 

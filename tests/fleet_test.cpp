@@ -233,10 +233,9 @@ TEST(FleetTest, SubmitAfterFinalizeFails) {
   EXPECT_EQ(second->status().code(), ErrorCode::kFailedPrecondition);
 }
 
-// A read_box workload cannot carry a dedicated clock or a streams
-// override: the actor always runs on its own timeline, and staged reads
-// cannot reshape the shared endpoint fast path.
-TEST(FleetTest, RejectsForeignClockAndStreams) {
+// A read_box workload cannot carry a dedicated clock: the actor always runs
+// on its own timeline.
+TEST(FleetTest, RejectsForeignClock) {
   StorageSystem system(HardwareProfile::paper_2000());
   Fleet fleet(system);
   Client& writer = fleet.add_client("writer");
@@ -254,14 +253,8 @@ TEST(FleetTest, RejectsForeignClockAndStreams) {
       Workload().open_existing("frame").read_box(
           "frame", 0, prt::LocalBox{{{{0, 8}, {0, 8}, {0, 1}}}},
           {.timeline = &foreign}));
-  Client& reader_b = fleet.add_client("reader_b");
-  Completion* bad_streams = reader_b.submit(
-      Workload().open_existing("frame").read_box(
-          "frame", 0, prt::LocalBox{{{{0, 8}, {0, 8}, {0, 1}}}},
-          {.streams = 2}));
   fleet.run_until_idle();
   EXPECT_EQ(bad_clock->status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(bad_streams->status().code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -481,6 +481,49 @@ TEST(AsyncWriterTest, ErrorSurfacesAtFlush) {
   EXPECT_EQ(writer.flush(caller).code(), ErrorCode::kUnavailable);
 }
 
+// Writes book the devices in the caller's order, so five submits with 5 s
+// of compute between them land on the same clock on every run. Each write
+// outlasts the compute, so they run back to back from the first submit
+// instant: the clock of the same writes run synchronously.
+TEST(AsyncWriterTest, RepeatedRunsLandOnTheSynchronousClock) {
+  constexpr double kCompute = 5.0;
+  constexpr int kWrites = 5;
+  const auto data = pattern_bytes(2ull << 20, 4);
+  double first_submit = 0.0;
+  std::vector<double> totals;
+  for (int rep = 0; rep < 20; ++rep) {
+    StorageSystem system(HardwareProfile::paper_2000());
+    AsyncWriter writer(system.endpoint(Location::kRemoteDisk));
+    Timeline caller;
+    for (int t = 0; t < kWrites; ++t) {
+      caller.advance(kCompute);
+      ASSERT_TRUE(
+          writer.submit(caller, "async/t" + std::to_string(t), data).ok());
+      if (t == 0) first_submit = caller.now();
+    }
+    ASSERT_TRUE(writer.flush(caller).ok());
+    totals.push_back(caller.now());
+  }
+
+  StorageSystem system(HardwareProfile::paper_2000());
+  StorageEndpoint& endpoint = system.endpoint(Location::kRemoteDisk);
+  Timeline sync;
+  sync.advance_to(first_submit);
+  for (int t = 0; t < kWrites; ++t) {
+    const double start = sync.now();
+    auto file = FileSession::start(endpoint, sync,
+                                   "async/t" + std::to_string(t),
+                                   OpenMode::kOverwrite);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(file->write(data).ok());
+    ASSERT_TRUE(file->finish().ok());
+    ASSERT_GT(sync.now() - start, kCompute) << "write " << t;
+  }
+  for (std::size_t rep = 0; rep < totals.size(); ++rep) {
+    EXPECT_EQ(totals[rep], sync.now()) << "run " << rep;
+  }
+}
+
 // ------------------------------------------------------------ subfile ----
 
 TEST(SubfileTest, LayoutValidation) {

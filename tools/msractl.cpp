@@ -364,7 +364,7 @@ int cmd_ptool(Env& env, const Args& args, Out& out, const std::string&) {
   config.measure_contended = args.has("contended");
   config.measure_cache = args.has("cache");
   // The cache probe needs a live cache endpoint; a default-sized one is
-  // fine — the perf_cache_* tables only depend on the tier models.
+  // fine — the perf_cache_* tables only depend on the cache's cost model.
   if (config.measure_cache && env.system->cache() == nullptr) {
     env.system->enable_cache(cache::CacheConfig{}, nullptr);
   }
@@ -1372,20 +1372,17 @@ int cmd_qos(Env& env, const Args& args, Out& out, const std::string&) {
 
 void columns(Row& r, const cache::CacheConfig& x) {
   r.col("memory_bytes", nullptr, 0, integer(x.memory_bytes));
-  r.col("spill_bytes", nullptr, 0, integer(x.spill_bytes));
 }
 
 void columns(Row& r, const cache::CacheStats& x) {
   r.col("entries", nullptr, 0, integer(x.store.entries));
   r.col("memory_used", nullptr, 0, integer(x.store.memory_bytes));
-  r.col("spill_used", nullptr, 0, integer(x.store.spill_bytes));
   r.col("hits", "", 0, integer(x.hits, "hits %lld "));
   r.col("misses", "", 0, integer(x.misses, "misses %lld "));
   r.col("admitted", "", 0, integer(x.admitted, "admitted %lld "));
   r.col("rejected", "", 0, integer(x.rejected, "rejected %lld "));
   r.col("invalidations", "", 0,
         integer(x.invalidations, "invalidations %lld "));
-  r.col("spills", "", 0, integer(x.spill_moves, "spills %lld "));
   r.col("evictions", "", 0, integer(x.evictions, "evictions %lld"));
   r.col("saved_seconds", nullptr, 0, num(x.saved_seconds));
 }
@@ -1394,7 +1391,6 @@ void columns(Row& r, const cache::CacheEntryInfo& x) {
   r.col("path", "PATH", -32, str(x.path));
   r.col("dataset", nullptr, 0, str(x.dataset_key));
   r.col("bytes", "BYTES", 10, bytes(x.bytes));
-  r.col("tier", "TIER", -6, str(x.spilled ? "spill" : "memory"));
   r.col("hits", "HITS", 6, integer(x.hits));
   r.col("saved_per_hit", "SAVED/HIT", 12, num(x.saved_per_hit, "%.4fs"));
 }
@@ -1426,7 +1422,6 @@ int cmd_cache(Env& env, const Args& args, Out& out, const std::string& verb) {
   const core::MetaCatalog& catalog = env.system->catalog();
   cache::CacheConfig config;
   config.memory_bytes = args.get_mb("cache-mb", 64, 1);
-  config.spill_bytes = args.get_mb("spill-mb", 0, 0);
   config.admission.min_benefit_seconds = args.get_double(
       "min-benefit", config.admission.min_benefit_seconds);
   cache::ReadCache* cache = env.system->enable_cache(config, &env.predictor);
@@ -1473,11 +1468,9 @@ int cmd_cache(Env& env, const Args& args, Out& out, const std::string& verb) {
     out.print("flushed %zu entr%s\n", before, before == 1 ? "y" : "ies");
   }
   const cache::CacheStats stats = cache->stats();
-  out.print("cache: memory %s used of %s, spill %s used of %s, %zu entr%s\n",
+  out.print("cache: memory %s used of %s, %zu entr%s\n",
             format_bytes(stats.store.memory_bytes).c_str(),
             format_bytes(cache->config().memory_bytes).c_str(),
-            format_bytes(stats.store.spill_bytes).c_str(),
-            format_bytes(cache->config().spill_bytes).c_str(),
             stats.store.entries, stats.store.entries == 1 ? "y" : "ies");
   out.print("%s\n", render(stats, Row::kText).c_str());
   out.print("predicted seconds saved by hits: %.3f\n", stats.saved_seconds);
@@ -1555,7 +1548,7 @@ constexpr Command kCommands[] = {
      "            [--admission on|off] [--clear] [--json [FILE]]",
      cmd_qos},
     {"cache", "stats|flush|explain", "priced mid-tier read cache",
-     "[<dataset> | --dataset NAME] [--cache-mb N] [--spill-mb N]\n"
+     "[<dataset> | --dataset NAME] [--cache-mb N]\n"
      "            [--min-benefit SECONDS] [--warm NAME[=ROUNDS]]...\n"
      "            [--hot NAME[=READS]]... [--json [FILE]]",
      cmd_cache},
